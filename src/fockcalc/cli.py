@@ -209,6 +209,19 @@ def cmd_verify_weak_comm(args):
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _nonneg_int(text: str) -> int:
+    """Window and bound sizes: a negative one makes an empty box, which
+    would pass with nothing checked."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockcalc",
@@ -263,19 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight", type=int, default=6)
-    p.add_argument("--laurent-bound", type=int, default=6)
+    p.add_argument("--laurent-bound", type=_nonneg_int, default=6)
     p.set_defaults(handler=cmd_verify_diffop)
 
     p = sub.add_parser("verify-contraction", help="two-point contraction "
                        "formula")
     p.add_argument("--weight", type=int, default=4)
-    p.add_argument("--window", type=int, default=8)
+    p.add_argument("--window", type=_nonneg_int, default=8)
     p.set_defaults(handler=cmd_verify_contraction)
 
     p = sub.add_parser("verify-thm31", help="generating-function commutator "
                        "identity of the regularized family")
     p.add_argument("--weight", type=int, default=2)
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--window", type=_nonneg_int, default=4)
     p.add_argument("--ydeg", type=int, default=1)
     p.add_argument("--convention",
                    choices=("neg-powers-y1", "neg-powers-y2"))
@@ -284,20 +297,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-axioms", help="vertex operator algebra axiom "
                        "suite")
     p.add_argument("--weight", type=int, default=4)
-    p.add_argument("--mode-window", type=int, default=6)
+    p.add_argument("--mode-window", type=_nonneg_int, default=6)
     p.set_defaults(handler=cmd_verify_axioms)
 
     p = sub.add_parser("verify-jacobi", help="classical delta-kernel "
                        "identity")
     p.add_argument("--weight", type=int, default=2)
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--window", type=_nonneg_int, default=4)
     p.add_argument("--states", nargs="+", default=["1", "h", "omega"],
                    choices=sorted(STATE_TABLE))
     p.set_defaults(handler=cmd_verify_jacobi)
 
     p = sub.add_parser("verify-thm42", help="dilated delta-kernel identity")
     p.add_argument("--weight", type=int, default=2)
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--window", type=_nonneg_int, default=4)
     p.add_argument("--ydeg", type=int, default=4)
     p.add_argument("--states", nargs="+", default=["1", "h", "omega"],
                    choices=sorted(STATE_TABLE))
@@ -307,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "search")
     p.add_argument("--u", default="h", choices=sorted(STATE_TABLE))
     p.add_argument("--v", default="h", choices=sorted(STATE_TABLE))
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--window", type=_nonneg_int, default=5)
     p.add_argument("--nmax", type=int, default=8)
     p.set_defaults(handler=cmd_verify_weak_comm)
 

@@ -31,6 +31,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 
 from .exact import ZERO, bernoulli
 from .fock import FockVector, fock_str, h_apply
@@ -602,6 +603,11 @@ class LocalizedSeries:
         lambda^{-k} = sum_{i>=0} C(-k,i) (c_d y_d)^{-k-i} mu^i where
         mu = lambda - c_d y_d.  Certified for cells with distinguished
         exponent >= dvar_floor and total degree <= body.tcap - k.
+
+        The body must be scalar.  Body cell b times a mu^i cell lands at
+        total degree tdeg(b) - k and distinguished exponent b[d] - k - i,
+        so only body cells with tdeg(b) <= body.tcap and
+        b[d] >= dvar_floor + k + i are enumerated at step i.
         """
         dvar = conv.distinguished
         c_d = self.pole.get(dvar, 0)
@@ -613,34 +619,34 @@ class LocalizedSeries:
             return body
         if body.tcap is None:
             raise ValueError("pole expansion needs a truncated body")
-        tcap = body.tcap - k
+        if any(body.varspecs[body.pos(n)].kind != "trunc" for n in self.pole):
+            raise ValueError("pole must be a linear form in trunc variables")
         di = body.pos(dvar)
-        mu = {n: c for n, c in self.pole.items() if n != dvar}
-        i_max = body.tcap - k - dvar_floor
+        mu = {body.pos(n): c for n, c in self.pole.items() if n != dvar}
         complete = {n: (None, None) for n in body.window_names()}
-        out = MultiSeries(body.varspecs, {}, complete, tcap, {dvar: dvar_floor})
+        out = MultiSeries(body.varspecs, {}, complete, body.tcap - k,
+                          {dvar: dvar_floor})
+        cells = sorted(((b, val) for b, val in body.terms.items()
+                        if body.tdeg(b) <= body.tcap),
+                       key=lambda item: -item[0][di])
         mu_power = {(0,) * len(body.varspecs): Fraction(1)}
-        for i in range(max(i_max, 0) + 1):
+        for i in range(max(body.tcap - k - dvar_floor, 0) + 1):
+            while cells and cells[-1][0][di] < dvar_floor + k + i:
+                cells.pop()
+            if not cells:
+                break
             c_i = Fraction(comb_int(-k, i), c_d ** (k + i))
-            if c_i:
-                for mcell, mval in mu_power.items():
-                    for bcell, bval in body.terms.items():
-                        cell = [x + y for x, y in zip(mcell, bcell)]
-                        cell[di] -= k + i
-                        cell = tuple(cell)
-                        if cell[di] < dvar_floor or out.tdeg(cell) > tcap:
-                            continue
-                        out._accumulate(
-                            cell,
-                            bval.scale(c_i * mval)
-                            if isinstance(bval, FockVector)
-                            else bval * c_i * mval)
+            for mcell, mval in mu_power.items():
+                cm = c_i * mval
+                for bcell, bval in cells:
+                    cell = [x + y for x, y in zip(mcell, bcell)]
+                    cell[di] -= k + i
+                    out._accumulate(tuple(cell), bval * cm)
             if not mu:
                 break
             nxt = {}
             for mcell, mval in mu_power.items():
-                for name, c in mu.items():
-                    j = body.pos(name)
+                for j, c in mu.items():
                     new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
                     acc = nxt.get(new, ZERO) + mval * c
                     if acc:
@@ -884,6 +890,46 @@ def _mul_delta_pinned(n_series: MultiSeries, f: str, g: str, x1: str, x2: str,
     return out._prune()
 
 
+def _genfun_space(w: int, d: int) -> tuple:
+    """Variables of the generating-function identity on the +-w box."""
+    return (trunc_var("y1", d), trunc_var("y2", d), trunc_var("y3", d),
+            trunc_var("y4", d), window_var("x1", -w, w),
+            window_var("x2", -w, w))
+
+
+def _genfun_floor(d: int) -> int:
+    return -(3 + 3 * d) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _plusplus_correction(conv: ExpansionConvention, window: int,
+                         ydeg: int) -> tuple:
+    """The scalar ++ correction of the right side, summed over the four
+    terms, as ((n, series at x1^n x2^-n), ...) for n in the window.
+
+    Each term is +(1/4) d_outer [ W'(a-b) e^{n(f-g)} ], expanded under the
+    convention.  It does not depend on the vector it acts on, so it is
+    built once and shared; the series' terms are read-only.
+    """
+    w, d = window, ydeg
+    varspecs = _genfun_space(w, d)
+    floor_d = _genfun_floor(d)
+    body_order = d + 3
+    localized = {}
+    for outer, a_form, b_var, (f, g) in _RHS_TERMS:
+        base = _derivative_pole(a_form, {b_var: 1}, varspecs, body_order)
+        for n in range(-w, w + 1):
+            efactor = exp_linear_form(varspecs, {f: n, g: -n}, body_order)
+            piece = (base.mul_series(efactor).dy(outer)
+                     .scale(Fraction(1, 4))
+                     .expand(conv, floor_d))
+            acc = localized.get(n)
+            localized[n] = piece if acc is None else acc.add(piece)
+    for ser in localized.values():
+        ser.terms = MappingProxyType(ser.terms)
+    return tuple(sorted(localized.items()))
+
+
 def regularized_commutator_check(v: FockVector, window: int, ydeg: int,
                                  conv: ExpansionConvention = NEG_POWERS_Y1,
                                  ) -> VerificationReport:
@@ -901,11 +947,8 @@ def regularized_commutator_check(v: FockVector, window: int, ydeg: int,
     """
     w, d = window, ydeg
     dvar = conv.distinguished
-    floor_d = -(3 + 3 * d) - 1
-    body_order = d + 3
-    varspecs = (trunc_var("y1", d), trunc_var("y2", d), trunc_var("y3", d),
-                trunc_var("y4", d), window_var("x1", -w, w),
-                window_var("x2", -w, w))
+    floor_d = _genfun_floor(d)
+    varspecs = _genfun_space(w, d)
     pos = {vs.name: i for i, vs in enumerate(varspecs)}
     x1i, x2i = pos["x1"], pos["x2"]
 
@@ -918,21 +961,14 @@ def regularized_commutator_check(v: FockVector, window: int, ydeg: int,
 
     # right side, colon parts: -(1/4) d_outer [slot series * delta]
     rhs = MultiSeries(varspecs, {}, {"x1": (-w, w), "x2": (-w, w)}, d)
-    localized = {n: None for n in range(-w, w + 1)}
     for outer, a_form, b_var, (f, g) in _RHS_TERMS:
         n_series = slot_pair_apply(varspecs, a_form, {b_var: 1}, "x2",
                                    (-2 * w, 2 * w), v, d + 1)
         nd = _mul_delta_pinned(n_series, f, g, "x1", "x2", (-w, w), d + 1)
         rhs = rhs.add(nd.diff(outer).scale(Fraction(-1, 4)))
-        # correction part: +(1/4) d_outer [ W'(a-b) e^{n(f-g)} ] at (n, -n)
-        base = _derivative_pole(a_form, {b_var: 1}, varspecs, body_order)
-        for n in range(-w, w + 1):
-            efactor = exp_linear_form(varspecs, {f: n, g: -n}, body_order)
-            piece = (base.mul_series(efactor).dy(outer)
-                     .scale(Fraction(1, 4))
-                     .expand(conv, floor_d).scale_vector(v))
-            acc = localized[n]
-            localized[n] = piece if acc is None else acc.add(piece)
+    # correction part, acting on v as identity
+    localized = {n: ser.scale_vector(v)
+                 for n, ser in _plusplus_correction(conv, w, d)}
 
     rep = VerificationReport(
         identity="regularized-commutator-genfun",
@@ -962,8 +998,6 @@ def regularized_commutator_check(v: FockVector, window: int, ydeg: int,
 
     candidates = set(lhs.terms) | set(rhs.terms)
     for n, ser in localized.items():
-        if ser is None:
-            continue
         for cell in ser.terms:
             full = list(cell)
             full[x1i] = n
@@ -978,15 +1012,14 @@ def regularized_commutator_check(v: FockVector, window: int, ydeg: int,
         rv = rhs.terms.get(cell, zero) if rhs.known(cell) else None
         if rv is not None and cell[x2i] == -cell[x1i]:
             ser = localized[cell[x1i]]
-            if ser is not None:
-                ycell = list(cell)
-                ycell[x1i] = 0
-                ycell[x2i] = 0
-                ycell = tuple(ycell)
-                if ser.known(ycell):
-                    rv = rv + ser.terms.get(ycell, zero)
-                else:
-                    rv = None
+            ycell = list(cell)
+            ycell[x1i] = 0
+            ycell[x2i] = 0
+            ycell = tuple(ycell)
+            if ser.known(ycell):
+                rv = rv + ser.terms.get(ycell, zero)
+            else:
+                rv = None
         key = _cell_key(varspecs, cell)
         if lv is None or rv is None:
             rep.add_uncertified(key)

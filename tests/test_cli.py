@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CMD = [sys.executable, "-m", "fockcalc.cli"]
 
 
@@ -131,3 +133,18 @@ def test_output_file(tmp_path):
     assert out.stdout == ""
     data = json.loads(path.read_text())
     assert data["values"][1] == [-1, "-1/12"]
+
+
+@pytest.mark.parametrize("args", [
+    ("verify-jacobi", "--weight", "0", "--window", "-1", "--states", "1"),
+    ("verify-thm42", "--weight", "0", "--window", "-1", "--states", "1"),
+    ("verify-contraction", "--weight", "1", "--window", "-1"),
+    ("verify-diffop", "--r", "0", "--s", "1", "--m", "1", "--n", "1",
+     "--weight", "2", "--laurent-bound", "-1"),
+])
+def test_negative_window_is_usage_error(args):
+    # an empty box must not pass vacuously
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert "must be a nonnegative integer" in out.stderr
+    assert "PASS" not in out.stdout

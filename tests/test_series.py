@@ -16,6 +16,7 @@ from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, MultiSeries,
                              one_minus_exp_inverse, plusplus_pair,
                              regularized_commutator_check, trunc_var,
                              window_var)
+from fockcalc.series import _plusplus_correction
 
 
 def mono(*parts):
@@ -340,6 +341,32 @@ def test_commutator_genfun_lhs_is_convention_independent():
     lhs2 = {c.key: c.lhs for c in rep2.cells}
     for key in set(lhs1) & set(lhs2):
         assert lhs1[key] == lhs2[key], key
+
+
+def _correction_snapshot(conv, window, ydeg):
+    return [(n, dict(ser.terms), dict(ser.x_ival), ser.tcap,
+             dict(ser.neg_floor))
+            for n, ser in _plusplus_correction(conv, window, ydeg)]
+
+
+def test_shared_correction_is_not_mutated_by_checks():
+    before = _correction_snapshot(NEG_POWERS_Y1, 1, 1)
+    cached = _plusplus_correction(NEG_POWERS_Y1, 1, 1)
+    for v in (mono(1), mono(1, 1)):
+        assert regularized_commutator_check(v, 1, 1, NEG_POWERS_Y1).passed
+    assert _plusplus_correction(NEG_POWERS_Y1, 1, 1) is cached
+    assert _correction_snapshot(NEG_POWERS_Y1, 1, 1) == before
+    with pytest.raises(TypeError):
+        cached[0][1].terms[(0,) * 6] = F(1)
+
+
+def test_commutator_genfun_hot_cache_matches_cold():
+    v = mono(2)
+    regularized_commutator_check(v, 1, 1, NEG_POWERS_Y2)
+    hot = regularized_commutator_check(v, 1, 1, NEG_POWERS_Y1).to_json_dict()
+    _plusplus_correction.cache_clear()
+    cold = regularized_commutator_check(v, 1, 1, NEG_POWERS_Y1).to_json_dict()
+    assert hot == cold
 
 
 def test_multiseries_json_records():
