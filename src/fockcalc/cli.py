@@ -21,7 +21,7 @@ from .fock import FockVector, basis, vacuum
 from .quadratic import (verify_diff_op_projection, verify_modified_virasoro,
                         verify_monomial_purity, verify_virasoro)
 from .report import SCHEMA_VERSION, VerificationReport
-from .series import (contraction_check, convention,
+from .series import (UncertifiedError, contraction_check, convention,
                      regularized_commutator_check)
 from .voa import (VOAConstants, axiom_suite, dilated_jacobi_check,
                   jacobi_check, weak_comm_check)
@@ -40,14 +40,11 @@ def _basis_vectors(max_weight):
 
 def _merge_reports(identity, parameters, labelled):
     merged = VerificationReport(identity=identity, parameters=parameters)
-    ok_labels = []
     for label, rep in labelled:
         for cell in rep.cells:
             merged.cells.append(type(cell)(f"{label} | {cell.key}", cell.lhs,
                                            cell.rhs, cell.status))
         merged.bulk_passed += rep.bulk_passed
-        if rep.passed:
-            ok_labels.append(label)
         for k, v in rep.data.items():
             merged.data[f"{label} | {k}"] = v
     return merged
@@ -332,6 +329,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload, text = args.handler(args)
+    except UncertifiedError as exc:
+        # a coefficient outside the certified region: a result, not misuse
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from fockcalc import cli
+from fockcalc.series import UncertifiedError
+
 CMD = [sys.executable, "-m", "fockcalc.cli"]
 
 
@@ -148,3 +151,18 @@ def test_negative_window_is_usage_error(args):
     assert out.returncode == 2
     assert "must be a nonnegative integer" in out.stderr
     assert "PASS" not in out.stdout
+
+
+@pytest.mark.parametrize("exc, code", [
+    (UncertifiedError("cell (9,) outside certified region"), 1),
+    (ValueError("bad argument"), 2),
+])
+def test_uncertified_exits_one_other_errors_two(monkeypatch, capsys, exc,
+                                                code):
+    # an uncertified coefficient is a verdict (exit 1), not a usage error
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_zeta", handler)
+    assert cli.main(["zeta", "--max", "1"]) == code
+    assert str(exc) in capsys.readouterr().err

@@ -18,6 +18,10 @@ GOLDEN = {
     "thm31_w2_win2_ydeg1_neg-powers-y2.json":
         "verify-thm31 --weight 2 --window 2 --ydeg 1 "
         "--convention neg-powers-y2",
+    "jacobi_w1_win2.json":
+        "verify-jacobi --weight 1 --window 2",
+    "thm42_w1_win2_ydeg2.json":
+        "verify-thm42 --weight 1 --window 2 --ydeg 2",
 }
 
 

@@ -1,6 +1,10 @@
 """Tests for the free boson vertex operator algebra layer."""
 
+import gc
 from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockcalc.fock import FockVector, basis, h_apply, monomial, vacuum
 from fockcalc.quadratic import L_apply, to_matrix, L_op
@@ -8,6 +12,7 @@ from fockcalc.voa import (VOAConstants, X_apply, Y_apply, axiom_suite,
                           commutator_cells, dilated_jacobi_check,
                           jacobi_check, mode_apply, weak_comm_check,
                           x_commutator_cells, zhu_bracket_apply)
+from fockcalc.voa import _axpy, _mode_mon, _vec
 
 
 def mono(*parts):
@@ -181,3 +186,95 @@ def test_dilated_residue_reproduces_x_commutator():
             lhs = _dilated_lhs_cell(u, v, w, 1, -1, a1, a2)
             rhs = _dilated_rhs_cell(g, q_min, w, -1, a1, a2)
             assert lhs == rhs == xc.get((a1, a2), FockVector())
+
+
+# ---------------------------------------------------------------------------
+# per-check mode tables and in-place accumulation
+# ---------------------------------------------------------------------------
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_vectors = st.dictionaries(st.sampled_from(basis(3)), _coeffs, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_vectors, st.one_of(st.integers(-4, 4), _coeffs)),
+                max_size=6))
+def test_axpy_matches_fraction_arithmetic(steps):
+    acc, want = {}, FockVector()
+    for terms, c in steps:
+        vec = FockVector({m: x for m, x in terms.items() if x})
+        before = dict(vec.terms)
+        _axpy(acc, vec, c)
+        assert vec.terms == before
+        want = want + vec.scale(c)
+    got = _vec(acc)
+    assert got == want
+    assert all(type(x) is F and x for x in got.terms.values())
+
+
+def _cells_in_box(rep, box):
+    """{key: (lhs, rhs, status)} of the listed cells inside box."""
+    out = {}
+    for cell in rep.cells:
+        exps = [int(part.split("^")[1]) for part in cell.key.split()]
+        if all(lo <= e <= hi for e, (lo, hi) in zip(exps, box)):
+            out[cell.key] = (cell.lhs, cell.rhs, cell.status)
+    return out
+
+
+def _dilated(ydeg):
+    return lambda u, v, w, win: dilated_jacobi_check(u, v, w, win, ydeg)
+
+
+_STATES = [(OMEGA, H, mono(2)),
+           (H + OMEGA.scale(F(2, 3)), OMEGA, mono(1, 1))]
+
+
+@pytest.mark.parametrize("check", [jacobi_check, _dilated(2)],
+                         ids=["jacobi", "dilated"])
+@pytest.mark.parametrize("u, v, w", _STATES)
+def test_enlarged_window_keeps_certified_cells(check, u, v, w):
+    # the dilated composition order grows with the top of the x0 window,
+    # so a wider box must still leave the smaller box's cells as they were
+    small = {"x0": (-2, 2), "x1": (-2, 2), "x2": (-2, 2)}
+    large = {"x0": (-3, 4), "x1": (-4, 3), "x2": (-3, 3)}
+    box = [small[x] for x in ("x0", "x1", "x2")]
+    rep_small = check(u, v, w, small)
+    rep_large = check(u, v, w, large)
+    cells = _cells_in_box(rep_small, box)
+    assert len(cells) == len(rep_small.cells) > 0
+    assert _cells_in_box(rep_large, box) == cells
+    assert rep_small.passed and rep_large.passed
+
+
+@pytest.mark.parametrize("check", [jacobi_check, _dilated(2)],
+                         ids=["jacobi", "dilated"])
+def test_mode_tables_leave_shared_cache_intact(check):
+    u, v, w = OMEGA, H + vacuum(), mono(2, 1)
+    win = {"x0": (-2, 2), "x1": (-2, 2), "x2": (-2, 2)}
+    check(u, v, w, win)
+    fixed = _mode_mon((1, 1), -2, (2, 1))
+    before = dict(fixed.terms)
+    assert len(before) > 1
+    hot = check(u, v, w, win).to_json_dict()
+    assert _mode_mon((1, 1), -2, (2, 1)) is fixed
+    assert fixed.terms == before
+    _mode_mon.cache_clear()
+    cold = check(u, v, w, win).to_json_dict()
+    assert hot == cold
+    assert _mode_mon((1, 1), -2, (2, 1)).terms == before
+
+
+@pytest.mark.parametrize("check", [jacobi_check, _dilated(4)],
+                         ids=["jacobi", "dilated"])
+def test_mode_tables_are_freed_with_their_check(check):
+    # no reference cycle may keep a check's tables alive after it returns
+    win = {"x0": (-3, 3), "x1": (-3, 3), "x2": (-3, 3)}
+    check(OMEGA, H, mono(2, 1), win)
+    gc.collect()
+    gc.disable()
+    try:
+        check(OMEGA, H, mono(2, 1), win)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
