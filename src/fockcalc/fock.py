@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from types import MappingProxyType
 
-from .exact import ZERO, rat_str
+from .exact import ZERO, _add_into, rat_str
 
 # A monomial is a tuple of parts sorted descending; () is the vacuum.
 VACUUM = ()
@@ -28,10 +29,6 @@ def monomial(parts) -> tuple:
     if any(p < 1 for p in parts):
         raise ValueError("parts must be positive integers")
     return parts
-
-
-def monomial_weight(mon) -> int:
-    return sum(mon)
 
 
 class FockVector:
@@ -59,31 +56,16 @@ class FockVector:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(self.frozen())
-
-    def frozen(self):
-        """Canonical hashable form (sorted term tuple)."""
-        return tuple(sorted(self.terms.items()))
-
     def __add__(self, other):
         out = dict(self.terms)
         for mon, c in other.terms.items():
-            acc = out.get(mon, ZERO) + c
-            if acc:
-                out[mon] = acc
-            elif mon in out:
-                del out[mon]
+            _add_into(out, mon, c)
         return FockVector(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for mon, c in other.terms.items():
-            acc = out.get(mon, ZERO) - c
-            if acc:
-                out[mon] = acc
-            elif mon in out:
-                del out[mon]
+            _add_into(out, mon, -c)
         return FockVector(out)
 
     def __neg__(self):
@@ -148,28 +130,14 @@ def h_apply(n: int, v: FockVector) -> FockVector:
     """
     if n == 0 or not v:
         return FockVector()
-    out = {}
+    # inserting or removing one part is injective on partitions, so no two
+    # terms land on one monomial
     if n < 0:
-        part = -n
-        for mon, c in v.terms.items():
-            new = _insert_part(mon, part)
-            acc = out.get(new, ZERO) + c
-            if acc:
-                out[new] = acc
-            elif new in out:
-                del out[new]
-    else:
-        for mon, c in v.terms.items():
-            mult = mon.count(n)
-            if not mult:
-                continue
-            new = _remove_part(mon, n)
-            acc = out.get(new, ZERO) + c * n * mult
-            if acc:
-                out[new] = acc
-            elif new in out:
-                del out[new]
-    return FockVector(out)
+        return FockVector({_insert_part(mon, -n): c
+                           for mon, c in v.terms.items()})
+    return FockVector({_remove_part(mon, n): c * n * mult
+                       for mon, c in v.terms.items()
+                       if (mult := mon.count(n))})
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,8 +191,10 @@ def weight_basis(w: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def weight_index(w: int) -> dict:
-    return {mon: i for i, mon in enumerate(weight_basis(w))}
+def weight_index(w: int) -> MappingProxyType:
+    """Position of each weight-w monomial in ``weight_basis(w)``; read-only,
+    since every caller shares the cached mapping."""
+    return MappingProxyType({mon: i for i, mon in enumerate(weight_basis(w))})
 
 
 def basis(max_weight: int) -> list:
@@ -265,11 +235,7 @@ class LaurentPolyVector:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            acc = out.get(k, ZERO) + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
+            _add_into(out, k, c)
         return LaurentPolyVector(out)
 
     def __sub__(self, other):

@@ -147,13 +147,6 @@ class GradedOperator:
             acc = acc + self.cols[w][weight_index(w)[mon]].scale(c)
         return acc
 
-    def block_equal(self, other: "GradedOperator", max_weight: int) -> bool:
-        for w in range(max_weight + 1):
-            for i in range(len(weight_basis(w))):
-                if self.column(w, i) != other.column(w, i):
-                    return False
-        return True
-
 
 _MATRIX_CACHE: dict = {}
 

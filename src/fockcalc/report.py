@@ -41,15 +41,8 @@ class VerificationReport:
         self.cells.append(Cell(str(key), str(lhs), str(rhs), status))
         return status
 
-    def add_pass(self, key, value):
-        self.cells.append(Cell(str(key), str(value), str(value), PASS))
-
     def add_uncertified(self, key):
         self.cells.append(Cell(str(key), "?", "?", UNCERTIFIED))
-
-    def merge(self, other):
-        self.cells.extend(other.cells)
-        self.bulk_passed += other.bulk_passed
 
     @property
     def counts(self):
@@ -62,9 +55,10 @@ class VerificationReport:
 
     @property
     def passed(self):
-        """True when every cell passed and none was uncertified."""
+        """True when every cell passed and none was uncertified.  A report
+        with no cells at all has checked nothing, so it does not pass."""
         c = self.counts
-        return c["failed"] == 0 and c["uncertified"] == 0
+        return c["total"] > 0 and c["failed"] == 0 and c["uncertified"] == 0
 
     def failing_cells(self, limit=10):
         return [c for c in self.cells if c.status != PASS][:limit]

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .exact import ZERO, bernoulli
+from .exact import ZERO, _add_into, bernoulli
 from .fock import FockVector, fock_str, h_apply
 from .quadratic import ordered_pair_apply
 from .report import VerificationReport
@@ -145,14 +145,6 @@ class MultiSeries:
     def same_space(self, other: "MultiSeries") -> bool:
         return self.varspecs == other.varspecs
 
-    def _accumulate(self, cell, val):
-        acc = self.terms.get(cell)
-        acc = val if acc is None else acc + val
-        if acc:
-            self.terms[cell] = acc
-        elif cell in self.terms:
-            del self.terms[cell]
-
     # -- certification --------------------------------------------------------
 
     def known(self, cell) -> bool:
@@ -210,7 +202,7 @@ class MultiSeries:
         out = MultiSeries(self.varspecs, dict(self.terms), ival,
                           _min_none(self.tcap, other.tcap), floor)
         for cell, c in other.terms.items():
-            out._accumulate(cell, c)
+            _add_into(out.terms, cell, c)
         return out._prune()
 
     def sub(self, other):
@@ -218,10 +210,7 @@ class MultiSeries:
 
     def scale(self, a) -> "MultiSeries":
         a = Fraction(a)
-        terms = {}
-        if a:
-            for cell, c in self.terms.items():
-                terms[cell] = c.scale(a) if isinstance(c, FockVector) else c * a
+        terms = {cell: c * a for cell, c in self.terms.items()} if a else {}
         return MultiSeries(self.varspecs, terms, self.x_ival, self.tcap,
                            self.neg_floor)
 
@@ -239,19 +228,9 @@ class MultiSeries:
         """Partial derivative in one variable."""
         i = self._pos[name]
         spec = self.varspecs[i]
-        out_terms = {}
-        for cell, c in self.terms.items():
-            e = cell[i]
-            if e == 0:
-                continue
-            new = cell[:i] + (e - 1,) + cell[i + 1:]
-            val = c.scale(e) if isinstance(c, FockVector) else c * e
-            acc = out_terms.get(new)
-            acc = val if acc is None else acc + val
-            if acc:
-                out_terms[new] = acc
-            elif new in out_terms:
-                del out_terms[new]
+        # lowering one exponent is injective, so no two terms collide
+        out_terms = {cell[:i] + (cell[i] - 1,) + cell[i + 1:]: c * cell[i]
+                     for cell, c in self.terms.items() if cell[i]}
         ival = dict(self.x_ival)
         tcap = self.tcap
         floor = dict(self.neg_floor)
@@ -294,18 +273,11 @@ class MultiSeries:
                                        other.x_ival[name], other._supp(name))
         out = MultiSeries(self.varspecs, {}, ival, tcap)
         for ca, a in self.terms.items():
-            a_vec = isinstance(a, FockVector)
             for cb, b in other.terms.items():
                 cell = tuple(x + y for x, y in zip(ca, cb))
                 if tcap is not None and out.tdeg(cell) > tcap:
                     continue
-                if a_vec:
-                    val = a.scale(b)
-                elif isinstance(b, FockVector):
-                    val = b.scale(a)
-                else:
-                    val = a * b
-                out._accumulate(cell, val)
+                _add_into(out.terms, cell, a * b)
         return out._prune()
 
     # -- serialization -----------------------------------------------------------
@@ -472,6 +444,20 @@ def delta_series(varspecs, ratio: dict, window: tuple) -> MultiSeries:
     return MultiSeries(varspecs, terms, ival)
 
 
+def _y_order(f: MultiSeries, yname: str, order: int | None,
+             role: str) -> int:
+    """The y truncation order of a translation or dilation in yname:
+    order if given, else the variable's own order, else f's tcap."""
+    yspec = f.varspecs[f.pos(yname)]
+    if yspec.kind != "trunc":
+        raise ValueError(f"{role} variable must be truncated-nonnegative")
+    jmax = order if order is not None else (
+        yspec.order if yspec.order is not None else f.tcap)
+    if jmax is None:
+        raise ValueError("no truncation order available for the y variable")
+    return jmax
+
+
 def apply_taylor(yname: str, f: MultiSeries, xname: str,
                  order: int | None = None) -> MultiSeries:
     """Formal translation f(x) -> f(x+y), binomials expanded in
@@ -480,13 +466,7 @@ def apply_taylor(yname: str, f: MultiSeries, xname: str,
     x^m translates to sum_k C(m,k) x^{m-k} y^k (general integer m); the
     certified x interval shrinks by the y order at the top end.
     """
-    yspec = f.varspecs[f.pos(yname)]
-    if yspec.kind != "trunc":
-        raise ValueError("translation variable must be truncated-nonnegative")
-    jmax = order if order is not None else (
-        yspec.order if yspec.order is not None else f.tcap)
-    if jmax is None:
-        raise ValueError("no truncation order available for the y variable")
+    jmax = _y_order(f, yname, order, "translation")
     xi, yi = f.pos(xname), f.pos(yname)
     tcap = _min_none(f.tcap, jmax)
     ival = dict(f.x_ival)
@@ -502,8 +482,7 @@ def apply_taylor(yname: str, f: MultiSeries, xname: str,
             new = list(cell)
             new[xi] = m - k
             new[yi] = cell[yi] + k
-            val = c.scale(coef) if isinstance(c, FockVector) else c * coef
-            out._accumulate(tuple(new), val)
+            _add_into(out.terms, tuple(new), c * coef)
     return out._prune()
 
 
@@ -511,13 +490,7 @@ def apply_dilation(yname: str, f: MultiSeries, xname: str,
                    order: int | None = None) -> MultiSeries:
     """Formal dilation f(x) -> f(e^y x): the x^n coefficient picks up the
     exponential series e^{ny} through the y truncation."""
-    yspec = f.varspecs[f.pos(yname)]
-    if yspec.kind != "trunc":
-        raise ValueError("dilation variable must be truncated-nonnegative")
-    jmax = order if order is not None else (
-        yspec.order if yspec.order is not None else f.tcap)
-    if jmax is None:
-        raise ValueError("no truncation order available for the y variable")
+    jmax = _y_order(f, yname, order, "dilation")
     xi, yi = f.pos(xname), f.pos(yname)
     out = MultiSeries(f.varspecs, {}, f.x_ival, _min_none(f.tcap, jmax),
                       f.neg_floor)
@@ -531,8 +504,7 @@ def apply_dilation(yname: str, f: MultiSeries, xname: str,
                     break
             new = list(cell)
             new[yi] = cell[yi] + k
-            val = c.scale(power) if isinstance(c, FockVector) else c * power
-            out._accumulate(tuple(new), val)
+            _add_into(out.terms, tuple(new), c * power)
     return out._prune()
 
 
@@ -571,9 +543,7 @@ class LocalizedSeries:
             i = s.pos(name)
             for cell, val in s.terms.items():
                 new = cell[:i] + (cell[i] + 1,) + cell[i + 1:]
-                out._accumulate(new,
-                                val.scale(c) if isinstance(val, FockVector)
-                                else val * c)
+                _add_into(out.terms, new, val * c)
         return out
 
     def dy(self, name: str) -> "LocalizedSeries":
@@ -641,18 +611,14 @@ class LocalizedSeries:
                 for bcell, bval in cells:
                     cell = [x + y for x, y in zip(mcell, bcell)]
                     cell[di] -= k + i
-                    out._accumulate(tuple(cell), bval * cm)
+                    _add_into(out.terms, tuple(cell), bval * cm)
             if not mu:
                 break
             nxt = {}
             for mcell, mval in mu_power.items():
                 for j, c in mu.items():
                     new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
-                    acc = nxt.get(new, ZERO) + mval * c
-                    if acc:
-                        nxt[new] = acc
-                    elif new in nxt:
-                        del nxt[new]
+                    _add_into(nxt, new, mval * c)
             mu_power = nxt
         return out
 
@@ -670,11 +636,7 @@ def _poly_in_form(varspecs, form: dict, coeffs, tcap: int) -> MultiSeries:
                 for name, c in form.items():
                     j = pos[name]
                     new = cell[:j] + (cell[j] + 1,) + cell[j + 1:]
-                    acc = nxt.get(new, ZERO) + val * c
-                    if acc:
-                        nxt[new] = acc
-                    elif new in nxt:
-                        del nxt[new]
+                    _add_into(nxt, new, val * c)
             power = nxt
             if not power:
                 break
@@ -682,11 +644,7 @@ def _poly_in_form(varspecs, form: dict, coeffs, tcap: int) -> MultiSeries:
         if not ck:
             continue
         for cell, val in power.items():
-            acc = out.terms.get(cell, ZERO) + ck * val
-            if acc:
-                out.terms[cell] = acc
-            elif cell in out.terms:
-                del out.terms[cell]
+            _add_into(out.terms, cell, ck * val)
     return out
 
 
@@ -765,7 +723,7 @@ def slot_pair_apply(varspecs, a_form: dict, b_form: dict, xname: str,
                 form[name] = form.get(name, 0) - k * c
             for ycell, c in exp_linear_form(varspecs, form, tcap).terms.items():
                 cell = ycell[:xi] + (e,) + ycell[xi + 1:]
-                out._accumulate(cell, vec.scale(c))
+                _add_into(out.terms, cell, vec.scale(c))
     return out
 
 
@@ -788,7 +746,7 @@ def slot_pair_apply_series(a_form: dict, b_form: dict, xname: str,
                                budget)
         for pcell, pvec in part.terms.items():
             cell = tuple(a + b for a, b in zip(scell, pcell))
-            out._accumulate(cell, pvec)
+            _add_into(out.terms, cell, pvec)
     return out._prune()
 
 
@@ -886,7 +844,7 @@ def _mul_delta_pinned(n_series: MultiSeries, f: str, g: str, x1: str, x2: str,
                 cell = tuple(cell)
                 if out.tcap is not None and out.tdeg(cell) > out.tcap:
                     continue
-                out._accumulate(cell, vec.scale(c))
+                _add_into(out.terms, cell, vec.scale(c))
     return out._prune()
 
 

@@ -17,8 +17,8 @@ cell-by-cell on explicit exponent boxes with no truncation error.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
+from math import factorial, gcd
 
 from .exact import PowerSeries
 from .fock import FockVector, fock_str, h_apply, vacuum, weight_basis
@@ -62,7 +62,7 @@ def _axpy(acc: dict, vec: FockVector, c) -> None:
         elif cur[1] % xd == 0:
             cur[0] += xn * (cur[1] // xd)
         else:                       # bring both to the lcm denominator
-            g = math.gcd(cur[1], xd)
+            g = gcd(cur[1], xd)
             cur[0] = cur[0] * (xd // g) + xn * (cur[1] // g)
             cur[1] = cur[1] // g * xd
 
@@ -118,11 +118,6 @@ def mode_apply(state: FockVector, n: int, w: FockVector) -> FockVector:
     return _vec(acc)
 
 
-def Y_apply(v: FockVector, w: FockVector, n: int) -> FockVector:
-    """The mode v_n applied to w, from Y(v,x) = sum_n v_n x^{-n-1}."""
-    return mode_apply(v, n, w)
-
-
 def X_apply(v: FockVector, w: FockVector, n: int) -> FockVector:
     """Coefficient of x^{-n} in X(v,x)w = x^{L(0)-shift} Y(v,x)w.
 
@@ -149,25 +144,20 @@ def _zhu_scalar_series(a: int, j: int, order: int) -> tuple:
     p = -j - 1
     if p >= 0:
         work = order
-        em1 = PowerSeries({m: Fraction(1, _fact(m)) for m in range(1, work + 1)},
+        em1 = PowerSeries({m: Fraction(1, factorial(m)) for m in range(1, work + 1)},
                           work)
         ser = em1.pow_int(p) * _exp_ps(a, work)
         return tuple(sorted(ser.coeffs.items()))
     m = -p
     work = order + m
-    unit = PowerSeries({i: Fraction(1, _fact(i + 1)) for i in range(work + 1)},
+    unit = PowerSeries({i: Fraction(1, factorial(i + 1)) for i in range(work + 1)},
                        work)
     ser = unit.pow_int(-m) * _exp_ps(a, work)
     return tuple(sorted((t - m, c) for t, c in ser.coeffs.items() if t - m <= order))
 
 
-@functools.lru_cache(maxsize=None)
-def _fact(n: int) -> int:
-    return 1 if n <= 1 else n * _fact(n - 1)
-
-
 def _exp_ps(a: int, order: int) -> PowerSeries:
-    return PowerSeries({m: Fraction(a ** m, _fact(m)) for m in range(order + 1)},
+    return PowerSeries({m: Fraction(a ** m, factorial(m)) for m in range(order + 1)},
                        order)
 
 

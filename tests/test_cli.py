@@ -144,6 +144,13 @@ def test_output_file(tmp_path):
     ("verify-contraction", "--weight", "1", "--window", "-1"),
     ("verify-diffop", "--r", "0", "--s", "1", "--m", "1", "--n", "1",
      "--weight", "2", "--laurent-bound", "-1"),
+    # the other size arguments: each of these used to pass or print an
+    # empty range with nothing checked
+    ("verify-axioms", "--weight", "-1", "--mode-window", "2"),
+    ("verify-thm31", "--weight", "1", "--window", "1", "--ydeg", "-1"),
+    ("verify-weak-comm", "--nmax", "-1"),
+    ("zeta", "--max", "-1"),
+    ("bernoulli", "--max", "-1"),
 ])
 def test_negative_window_is_usage_error(args):
     # an empty box must not pass vacuously

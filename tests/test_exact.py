@@ -7,8 +7,8 @@ import pytest
 from fockcalc.exact import (PowerSeries, SeriesError, ShiftedQSeries,
                             bernoulli, bernoulli_series,
                             check_geometric_bernoulli, chi_s, exp_x,
-                            graded_dimension, parse_rat, rat_str, series_arith,
-                            series_exp_log, zeta_nonpositive)
+                            graded_dimension, rat_str, zeta_nonpositive)
+from fockcalc.exact import _add_into
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +44,30 @@ def partition_count_oracle(n, max_part=None):
 
 def test_rat_str_roundtrip():
     for q in [F(-1, 12), F(0), F(3), F(7, 2), F(-5)]:
-        assert parse_rat(rat_str(q)) == q
+        assert F(rat_str(q)) == q
     assert rat_str(F(-1, 12)) == "-1/12"
     assert rat_str(F(4, 2)) == "2"
+
+
+def test_rat_str_takes_int_or_fraction_only():
+    assert rat_str(3) == "3"
+    assert rat_str(-7) == "-7"
+    # a float used to print its binary expansion as a fraction
+    with pytest.raises(TypeError):
+        rat_str(0.1)
+    with pytest.raises(TypeError):
+        rat_str("1/2")
+
+
+def test_add_into_replaces_values_and_drops_zeros():
+    half = F(1, 2)
+    terms = {}
+    _add_into(terms, "a", half)
+    assert terms["a"] is half          # an absent key takes the value itself
+    _add_into(terms, "a", F(1, 3))
+    assert terms == {"a": F(5, 6)} and half == F(1, 2)
+    _add_into(terms, "a", F(-5, 6))
+    assert terms == {}
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +77,7 @@ def test_rat_str_roundtrip():
 def test_difference_of_squares():
     one_plus = PowerSeries({0: 1, 1: 1}, 4)
     one_minus = PowerSeries({0: 1, 1: -1}, 4)
-    prod = series_arith(one_plus, one_minus, "mul")
+    prod = one_plus * one_minus
     assert prod == PowerSeries({0: 1, 2: -1}, 4)
 
 
@@ -73,7 +94,7 @@ def test_bernoulli_generating_division():
 def test_compose_geometric():
     geom = PowerSeries({k: 1 for k in range(7)}, 6)      # 1/(1-u)
     xsq = PowerSeries({2: 1}, 6)
-    out = series_arith(geom, xsq, "compose")
+    out = geom.compose(xsq)
     assert out == PowerSeries({0: 1, 2: 1, 4: 1, 6: 1}, 6)
 
 
@@ -93,12 +114,12 @@ def test_truncation_is_enforced():
 
 def test_exp_log_examples():
     zero = PowerSeries.zero(5)
-    assert series_exp_log(zero, "exp") == PowerSeries.one(5)
+    assert zero.exp() == PowerSeries.one(5)
     # log(1-x) = -x - x^2/2 - x^3/3: oracle is term-wise integration of
     # the derivative -1/(1-x) = -(1 + x + x^2 + ...)
     one_minus_x = PowerSeries({0: 1, 1: -1}, 3)
     expected = PowerSeries({k: F(-1, k) for k in range(1, 4)}, 3)
-    assert series_exp_log(one_minus_x, "log") == expected
+    assert one_minus_x.log() == expected
     # exp(log(1+x)) = 1 + x
     one_plus_x = PowerSeries({0: 1, 1: 1}, 6)
     assert one_plus_x.log().exp() == one_plus_x

@@ -29,6 +29,7 @@ def reference_expand(loc, conv, dvar_floor):
     mu = {n: c for n, c in loc.pole.items() if n != dvar}
     complete = {n: (None, None) for n in body.window_names()}
     out = MultiSeries(body.varspecs, {}, complete, tcap, {dvar: dvar_floor})
+    terms = {}
     mu_power = {(0,) * len(body.varspecs): F(1)}
     for i in range(max(body.tcap - k - dvar_floor, 0) + 1):
         c_i = F(comb_int(-k, i), c_d ** (k + i))
@@ -39,7 +40,7 @@ def reference_expand(loc, conv, dvar_floor):
                 cell = tuple(cell)
                 if cell[di] < dvar_floor or out.tdeg(cell) > tcap:
                     continue
-                out._accumulate(cell, bval * c_i * mval)
+                terms[cell] = terms.get(cell, 0) + bval * c_i * mval
         nxt = {}
         for mcell, mval in mu_power.items():
             for name, c in mu.items():
@@ -47,6 +48,7 @@ def reference_expand(loc, conv, dvar_floor):
                 new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
                 nxt[new] = nxt.get(new, 0) + mval * c
         mu_power = {c: v for c, v in nxt.items() if v}
+    out.terms = {c: v for c, v in terms.items() if v}
     return out
 
 

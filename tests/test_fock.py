@@ -7,7 +7,7 @@ import pytest
 from fockcalc.exact import graded_dimension
 from fockcalc.fock import (FockVector, LaurentPolyVector, basis, d_apply,
                            diff_op_apply, fock_str, h_apply, monomial,
-                           vacuum, weight, weight_basis)
+                           vacuum, weight, weight_basis, weight_index)
 
 
 def mono(*parts):
@@ -78,6 +78,16 @@ def test_weight():
 def test_basis_ordering():
     assert basis(2) == [(), (1,), (2,), (1, 1)]
     assert weight_basis(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+
+
+def test_weight_index_is_read_only():
+    # the mapping is a shared cache entry: a write would corrupt every
+    # later lookup
+    index = weight_index(3)
+    assert dict(index) == {(3,): 0, (2, 1): 1, (1, 1, 1): 2}
+    with pytest.raises(TypeError):
+        index[(3,)] = 5
+    assert weight_index(3)[(3,)] == 0
 
 
 def test_basis_counts_match_graded_dimension():

@@ -22,6 +22,23 @@ GOLDEN = {
         "verify-jacobi --weight 1 --window 2",
     "thm42_w1_win2_ydeg2.json":
         "verify-thm42 --weight 1 --window 2 --ydeg 2",
+    "contraction_w2_win3.json":
+        "verify-contraction --weight 2 --window 3",
+    "axioms_w2_mw3.json":
+        "verify-axioms --weight 2 --mode-window 3",
+    "weak_comm_omega_omega.json":
+        "verify-weak-comm --u omega --v omega",
+    "virasoro_m2_n-2_w4.json":
+        "verify-virasoro --m 2 --n -2 --weight 4",
+    "modified_m3_n-3_w4.json":
+        "verify-modified --m 3 --n -3 --weight 4",
+    "bloch_purity_r0_s1_w4.json":
+        "verify-bloch-purity --r 0 --s 1 --weight 4",
+    "diffop_r1_s1_m2_n-1_w4_lb3.json":
+        "verify-diffop --r 1 --s 1 --m 2 --n -1 --weight 4 "
+        "--laurent-bound 3",
+    "chi_max10.json":
+        "chi --max 10",
 }
 
 

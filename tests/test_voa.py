@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fockcalc.fock import FockVector, basis, h_apply, monomial, vacuum
 from fockcalc.quadratic import L_apply, to_matrix, L_op
-from fockcalc.voa import (VOAConstants, X_apply, Y_apply, axiom_suite,
+from fockcalc.voa import (VOAConstants, X_apply, axiom_suite,
                           commutator_cells, dilated_jacobi_check,
                           jacobi_check, mode_apply, weak_comm_check,
                           x_commutator_cells, zhu_bracket_apply)
@@ -26,23 +26,23 @@ OMEGA = VOAConstants.omega()
 def test_vacuum_operator_is_identity():
     w = mono(2, 1)
     for n in range(-5, 6):
-        got = Y_apply(vacuum(), w, n)
+        got = mode_apply(vacuum(), n, w)
         assert got == (w if n == -1 else FockVector())
 
 
 def test_creation_property():
     for mon_ in basis(4):
         v = FockVector({mon_: F(1)})
-        assert Y_apply(v, vacuum(), -1) == v
+        assert mode_apply(v, -1, vacuum()) == v
         for n in range(0, 8):
-            assert not Y_apply(v, vacuum(), n)
+            assert not mode_apply(v, n, vacuum())
 
 
 def test_h_state_modes_are_oscillators():
     for n in range(-5, 6):
         for mon_ in basis(4):
             w = FockVector({mon_: F(1)})
-            assert Y_apply(H, w, n) == h_apply(n, w)
+            assert mode_apply(H, n, w) == h_apply(n, w)
 
 
 def test_omega_modes_are_the_quadratic_family():
@@ -52,7 +52,7 @@ def test_omega_modes_are_the_quadratic_family():
         for w in range(7):
             from fockcalc.fock import weight_basis
             for i, mon_ in enumerate(weight_basis(w)):
-                got = Y_apply(OMEGA, FockVector({mon_: F(1)}), n + 1)
+                got = mode_apply(OMEGA, n + 1, FockVector({mon_: F(1)}))
                 assert got == op.column(w, i)
 
 
@@ -62,7 +62,7 @@ def test_mode_weight_bookkeeping():
         for wmon in basis(3):
             w = FockVector({wmon: F(1)})
             for n in range(-4, 6):
-                out = Y_apply(u, w, n)
+                out = mode_apply(u, n, w)
                 if out:
                     from fockcalc.fock import weight
                     assert weight(out) == sum(umon) + sum(wmon) - n - 1
@@ -106,6 +106,16 @@ def test_zhu_lower_truncation():
     zb = zhu_bracket_apply(OMEGA, OMEGA, 4)
     assert min(e for (e,) in zb.terms) >= -4
     assert zb.x_ival["y"] == (None, 4)
+
+
+def test_empty_box_does_not_pass():
+    # a check that compared nothing has not verified anything
+    rep = axiom_suite(-1, 2)
+    assert rep.counts["total"] == 0 and not rep.passed
+    empty = {"x0": (1, 0), "x1": (-1, 1), "x2": (-1, 1)}
+    for check in (jacobi_check, lambda *a: dilated_jacobi_check(*a, 1)):
+        rep = check(H, H, mono(1), empty)
+        assert rep.counts["total"] == 0 and not rep.passed
 
 
 def test_axiom_suite_passes():
