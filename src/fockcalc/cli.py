@@ -18,8 +18,9 @@ from fractions import Fraction
 from .exact import (bernoulli, chi_s, graded_dimension, rat_str,
                     zeta_nonpositive)
 from .fock import FockVector, basis, vacuum
-from .quadratic import (verify_diff_op_projection, verify_modified_virasoro,
-                        verify_monomial_purity, verify_virasoro)
+from .quadratic import (FitError, WindowError, verify_diff_op_projection,
+                        verify_modified_virasoro, verify_monomial_purity,
+                        verify_virasoro)
 from .report import SCHEMA_VERSION, VerificationReport
 from .series import (UncertifiedError, contraction_check, convention,
                      regularized_commutator_check)
@@ -316,8 +317,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload, text = args.handler(args)
-    except UncertifiedError as exc:
-        # a coefficient outside the certified region: a result, not misuse
+    except (UncertifiedError, WindowError, FitError) as exc:
+        # an uncertified coefficient, a window too small to certify a
+        # block, or a fit with no exact solution: a result, not misuse
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 
 from .exact import ZERO, _add_into, rat_str
@@ -106,6 +107,35 @@ class FockVector:
                 for mon, c in sorted(self.terms.items())]
 
 
+def _axpy(acc: dict, vec: FockVector, c) -> None:
+    """acc += c * vec, in place, for an int or Fraction c.
+
+    acc maps a monomial to an unreduced [numerator, denominator] pair of
+    ints, so no Fraction is built per term; ``_vec`` reduces each sum
+    once and drops the zeros.  vec itself is never written, and its
+    coefficients may be ints or Fractions.
+    """
+    cn, cd = c.numerator, c.denominator
+    for mon, x in vec.terms.items():
+        xn, xd = cn * x.numerator, cd * x.denominator
+        cur = acc.get(mon)
+        if cur is None:
+            acc[mon] = [xn, xd]
+        elif cur[1] % xd == 0:
+            cur[0] += xn * (cur[1] // xd)
+        else:                       # bring both to the lcm denominator
+            g = gcd(cur[1], xd)
+            cur[0] = cur[0] * (xd // g) + xn * (cur[1] // g)
+            cur[1] = cur[1] // g * xd
+
+
+def _vec(acc: dict, den: int = 1) -> FockVector:
+    """The vector of an ``_axpy`` accumulator divided by the int den, zero
+    coefficients dropped; every coefficient is a Fraction."""
+    return FockVector({mon: Fraction(n, d * den)
+                       for mon, (n, d) in acc.items() if n})
+
+
 def fock_str(v: FockVector) -> str:
     """Canonical display string, e.g. ``1/2*[1,1] + 2*[3]``; "0" if zero."""
     if not v.terms:
@@ -135,7 +165,7 @@ def h_apply(n: int, v: FockVector) -> FockVector:
     if n < 0:
         return FockVector({_insert_part(mon, -n): c
                            for mon, c in v.terms.items()})
-    return FockVector({_remove_part(mon, n): c * n * mult
+    return FockVector({_remove_part(mon, n): c * (n * mult)
                        for mon, c in v.terms.items()
                        if (mult := mon.count(n))})
 

@@ -16,11 +16,14 @@ differential operators (-1)^{r+1} D^r (t^n D) D^r.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from types import MappingProxyType
 
-from .exact import ZERO, rat_str, zeta_nonpositive
-from .fock import (FockVector, LaurentPolyVector, diff_op_apply, fock_str,
-                   h_apply, weight_basis, weight_index)
+from .exact import ZERO, _add_into, rat_str, zeta_nonpositive
+from .fock import (FockVector, LaurentPolyVector, _axpy, _insert_part,
+                   _remove_part, _vec, diff_op_apply, fock_str, h_apply,
+                   weight_basis, weight_index)
 from .report import FAIL, PASS, VerificationReport
 
 
@@ -43,27 +46,45 @@ def ordered_pair_apply(j: int, k: int, v: FockVector) -> FockVector:
     return h_apply(j, h_apply(k, v))
 
 
-def Lr_apply(r: int, n: int, v: FockVector) -> FockVector:
-    """(1/2) sum_j j^r (n-j)^r :h(j)h(n-j): v.
+@functools.lru_cache(maxsize=None)
+def _lr_mon(r: int, n: int, mon: tuple) -> FockVector:
+    """2 L^(r)(n) applied to one basis monomial, with int coefficients.
 
-    Terms containing h(0) vanish; annihilation indices above the top
-    weight of v vanish, so the sum below is the full result.
+    Doubling clears the 1/2 of the family: 2 L^(r)(n) is the sum over
+    ordered pairs j + k = n of j^r k^r :h(j)h(k):, and the h-actions, the
+    weights and the multiplicities are all integers.  The term map is
+    read-only, since every caller shares the cached vector.
     """
+    terms = {}
+    # two creation modes: h(j)h(k) inserts the parts -j and -k
+    for j in range(n + 1, 0):
+        k = n - j
+        _add_into(terms, _insert_part(_insert_part(mon, -j), -k),
+                  j ** r * k ** r)
+    for p in set(mon):
+        q = n - p
+        if q < 0:
+            # h(q)h(p), from the ordered pairs (p, q) and (q, p): remove
+            # one part p (times p * its multiplicity), insert the part -q
+            _add_into(terms, _insert_part(_remove_part(mon, p), -q),
+                      2 * p ** (r + 1) * q ** r * mon.count(p))
+        elif q in mon and (mult := mon.count(q) * (mon.count(p) - (p == q))):
+            # h(p)h(q) with both annihilating; the pair (q, p) is its own
+            # term of this loop
+            _add_into(terms, _remove_part(_remove_part(mon, q), p),
+                      p ** (r + 1) * q ** (r + 1) * mult)
+    return FockVector(MappingProxyType(terms))
+
+
+def Lr_apply(r: int, n: int, v: FockVector) -> FockVector:
+    """(1/2) sum_j j^r (n-j)^r :h(j)h(n-j): v, from the cached doubled
+    action of each monomial of v; every coefficient is a Fraction."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    if not v:
-        return FockVector()
-    wv = v.max_weight()
-    acc = FockVector()
-    half = Fraction(1, 2)
-    for j in range(min(0, n) - wv, max(0, n) + wv + 1):
-        k = n - j
-        if j == 0 or k == 0:
-            continue
-        term = ordered_pair_apply(j, k, v)
-        if term:
-            acc = acc + term.scale(half * (j ** r) * (k ** r))
-    return acc
+    acc = {}
+    for mon, c in v.terms.items():
+        _axpy(acc, _lr_mon(r, n, mon), c)
+    return _vec(acc, 2)
 
 
 def L_apply(n: int, v: FockVector) -> FockVector:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 from .exact import PowerSeries
-from .fock import FockVector, fock_str, h_apply, vacuum, weight_basis
+from .fock import (FockVector, _axpy, _vec, fock_str, h_apply, vacuum,
+                   weight_basis)
 from .quadratic import L_apply
 from .report import FAIL, PASS, VerificationReport
 from .series import MultiSeries, comb_int, window_var
@@ -45,33 +46,6 @@ class VOAConstants:
 # ---------------------------------------------------------------------------
 # Modes
 # ---------------------------------------------------------------------------
-
-def _axpy(acc: dict, vec: FockVector, c) -> None:
-    """acc += c * vec, in place, for an int or Fraction c.
-
-    acc maps a monomial to an unreduced [numerator, denominator] pair of
-    ints, so no Fraction is built per term; ``_vec`` reduces each sum
-    once and drops the zeros.  vec itself is never written.
-    """
-    cn, cd = c.numerator, c.denominator
-    for mon, x in vec.terms.items():
-        xn, xd = cn * x.numerator, cd * x.denominator
-        cur = acc.get(mon)
-        if cur is None:
-            acc[mon] = [xn, xd]
-        elif cur[1] % xd == 0:
-            cur[0] += xn * (cur[1] // xd)
-        else:                       # bring both to the lcm denominator
-            g = gcd(cur[1], xd)
-            cur[0] = cur[0] * (xd // g) + xn * (cur[1] // g)
-            cur[1] = cur[1] // g * xd
-
-
-def _vec(acc: dict) -> FockVector:
-    """The vector of an ``_axpy`` accumulator, zero coefficients dropped."""
-    return FockVector({mon: Fraction(n, d) for mon, (n, d) in acc.items()
-                       if n})
-
 
 @functools.lru_cache(maxsize=None)
 def _mode_mon(state: tuple, n: int, target: tuple) -> FockVector:

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from fockcalc import cli
+from fockcalc.exact import SeriesError
+from fockcalc.quadratic import FitError, WindowError
 from fockcalc.series import UncertifiedError
 
 CMD = [sys.executable, "-m", "fockcalc.cli"]
@@ -163,10 +165,17 @@ def test_negative_window_is_usage_error(args):
 @pytest.mark.parametrize("exc, code", [
     (UncertifiedError("cell (9,) outside certified region"), 1),
     (ValueError("bad argument"), 2),
+    (WindowError("window too small to certify any commutator block"), 1),
+    (FitError("inconsistent system: nonzero residual"), 1),
+    (SeriesError("exponent 9 exceeds truncation order 4"), 2),
+    (ValueError("m_max=2 gives too few interpolation points"), 2),
+    (KeyError("no-such-state"), 2),
 ])
 def test_uncertified_exits_one_other_errors_two(monkeypatch, capsys, exc,
                                                 code):
-    # an uncertified coefficient is a verdict (exit 1), not a usage error
+    # an uncertified coefficient, a window too small to certify and a
+    # failed exact fit are verdicts (exit 1); a failed precondition or a
+    # bad argument is a usage error (exit 2)
     def handler(args):
         raise exc
 

@@ -34,11 +34,19 @@ GOLDEN = {
         "verify-modified --m 3 --n -3 --weight 4",
     "bloch_purity_r0_s1_w4.json":
         "verify-bloch-purity --r 0 --s 1 --weight 4",
+    "bloch_purity_r1_s1_w4.json":
+        "verify-bloch-purity --r 1 --s 1 --weight 4",
     "diffop_r1_s1_m2_n-1_w4_lb3.json":
         "verify-diffop --r 1 --s 1 --m 2 --n -1 --weight 4 "
         "--laurent-bound 3",
     "chi_max10.json":
         "chi --max 10",
+    "bernoulli_max12.json":
+        "bernoulli --max 12",
+    "zeta_max8.json":
+        "zeta --max 8",
+    "qdim_max20.json":
+        "qdim --max 20",
 }
 
 

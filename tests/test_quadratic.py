@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcalc.fock import FockVector, basis, monomial, vacuum, weight, weight_basis
 from fockcalc.quadratic import (CentralDecomposition, FitError, L_apply,
@@ -13,6 +15,7 @@ from fockcalc.quadratic import (CentralDecomposition, FitError, L_apply,
                                 verify_diff_op_projection,
                                 verify_modified_virasoro,
                                 verify_monomial_purity, verify_virasoro)
+from fockcalc.quadratic import _MATRIX_CACHE, _lr_mon, ordered_pair_apply
 
 
 def mono(*parts):
@@ -64,6 +67,60 @@ def test_Lbar_eigenvalues_on_vacuum():
     assert Lbar_apply(0, 0, vacuum()) == vacuum().scale(F(-1, 24))
     assert Lbar_apply(1, 0, vacuum()) == vacuum().scale(F(-1, 240))
     assert Lbar_apply(2, 3, mono(2, 1)) == Lr_apply(2, 3, mono(2, 1))
+
+
+# ---------------------------------------------------------------------------
+# cached per-monomial tables
+# ---------------------------------------------------------------------------
+
+def _Lr_reference(r, n, v):
+    """The defining sum over j, term by term: a route to Lr_apply that
+    shares no code with its cached tables."""
+    acc = FockVector()
+    for j in range(min(0, n) - v.max_weight(), max(0, n) + v.max_weight() + 1):
+        k = n - j
+        if j and k:
+            acc = acc + ordered_pair_apply(j, k, v).scale(
+                F(1, 2) * j ** r * k ** r)
+    return acc
+
+
+_coeffs = st.one_of(st.integers(-5, 5).filter(bool),
+                    st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=7).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.integers(-6, 6),
+       st.dictionaries(st.sampled_from(basis(5)), _coeffs, max_size=5))
+def test_Lr_apply_matches_direct_sum(r, n, terms):
+    # coefficients may be ints or Fractions; halving an int must not give
+    # a float
+    v = FockVector(terms)
+    got = Lr_apply(r, n, v)
+    assert got == _Lr_reference(r, n, v)
+    assert all(type(c) is F and c for c in got.terms.values())
+
+
+@pytest.mark.parametrize("verify, m, n", [(verify_virasoro, 2, -2),
+                                          (verify_modified_virasoro, 3, -3)])
+def test_Lr_tables_leave_shared_cache_intact(verify, m, n):
+    verify(m, n, 4)
+    fixed = _lr_mon(1, -2, (2, 1))
+    before = dict(fixed.terms)
+    assert len(before) > 1
+    hot = verify(m, n, 4).to_json_dict()
+    out = Lr_apply(1, -2, mono(2, 1))
+    out.terms.clear()
+    with pytest.raises(TypeError):
+        fixed.terms[(5,)] = 1
+    assert _lr_mon(1, -2, (2, 1)) is fixed
+    assert fixed.terms == before
+    _lr_mon.cache_clear()
+    _MATRIX_CACHE.clear()
+    cold = verify(m, n, 4).to_json_dict()
+    assert hot == cold
+    assert _lr_mon(1, -2, (2, 1)).terms == before
 
 
 # ---------------------------------------------------------------------------
