@@ -28,7 +28,8 @@ from .report import VerificationReport
 from .series import (ExpansionConvention, LocalizedSeries, MultiSeries,
                      VarSpec, apply_dilation, apply_taylor, contraction_check,
                      delta_series, normal_ordered_pair, one_minus_exp_inverse,
-                     plusplus_pair, regularized_commutator_check)
+                     plusplus_pair, regularized_commutator_check,
+                     regularized_commutator_checks)
 from .voa import (VOAConstants, X_apply, axiom_suite, dilated_jacobi_check,
                   jacobi_check, mode_apply, weak_comm_check, zhu_bracket_apply)
 

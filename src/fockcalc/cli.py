@@ -11,6 +11,7 @@ violation or uncertified cell, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .quadratic import (FitError, WindowError, verify_diff_op_projection,
                         verify_virasoro)
 from .report import SCHEMA_VERSION, VerificationReport
 from .series import (UncertifiedError, contraction_check, convention,
-                     regularized_commutator_check)
+                     regularized_commutator_checks)
 from .voa import (VOAConstants, axiom_suite, dilated_jacobi_check,
                   jacobi_check, weak_comm_check)
 
@@ -126,17 +127,21 @@ def cmd_verify_contraction(args):
 def cmd_verify_thm31(args):
     convs = ([args.convention] if args.convention else
              ["neg-powers-y1", "neg-powers-y2"])
+    vectors = _basis_vectors(args.weight)
+    # both conventions share each vector's sides; the reports are listed
+    # convention by convention
+    per_vector = [regularized_commutator_checks(
+                      vec, args.window, args.ydeg,
+                      [convention(cname) for cname in convs])
+                  for _, vec in vectors]
     labelled = []
     verdicts = {}
-    for cname in convs:
-        conv = convention(cname)
-        all_ok = True
-        for label, vec in _basis_vectors(args.weight):
-            rep = regularized_commutator_check(vec, args.window, args.ydeg,
-                                               conv)
-            labelled.append((f"{cname} {label}", rep))
-            all_ok = all_ok and rep.passed
-        verdicts[cname] = "pass" if all_ok else "fail"
+    for i, cname in enumerate(convs):
+        reps = [row[i] for row in per_vector]
+        labelled.extend((f"{cname} {label}", rep)
+                        for (label, _), rep in zip(vectors, reps))
+        verdicts[cname] = ("pass" if all(rep.passed for rep in reps)
+                           else "fail")
     merged = _merge_reports(
         "regularized-commutator-genfun",
         {"max_weight": args.weight, "window": args.window, "ydeg": args.ydeg,
@@ -158,9 +163,10 @@ def cmd_verify_axioms(args):
 
 
 def cmd_verify_delta_kernel(args):
-    """verify-jacobi and verify-thm42: args.check(u, v, w, windows, *extra)
-    on every (u, v, w), where extra holds the values of the arguments
-    named in args.extra."""
+    """verify-jacobi and verify-thm42: check(u, v, w, windows, *extra) on
+    every (u, v, w), where check is the function named by args.check and
+    extra holds the values of the arguments named in args.extra."""
+    check = globals()[args.check]
     box = (-args.window, args.window)
     windows = {"x0": box, "x1": box, "x2": box}
     extra = {name: getattr(args, name) for name in args.extra}
@@ -170,7 +176,7 @@ def cmd_verify_delta_kernel(args):
             u = STATE_TABLE[uname]()
             v = STATE_TABLE[vname]()
             for wlabel, wvec in _basis_vectors(args.weight):
-                rep = args.check(u, v, wvec, windows, *extra.values())
+                rep = check(u, v, wvec, windows, *extra.values())
                 labelled.append((f"u={uname} v={vname} w={wlabel}", rep))
     rep = _merge_reports(args.identity,
                          {"states": list(args.states),
@@ -215,33 +221,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bernoulli", help="Bernoulli number table")
     p.add_argument("--max", type=_nonneg_int, default=12)
-    p.set_defaults(handler=cmd_bernoulli)
+    p.set_defaults(handler="cmd_bernoulli")
 
     p = sub.add_parser("zeta", help="zeta values at nonpositive integers")
     p.add_argument("--max", type=_nonneg_int, default=8)
-    p.set_defaults(handler=cmd_zeta)
+    p.set_defaults(handler="cmd_zeta")
 
     p = sub.add_parser("qdim", help="graded dimension coefficients")
     p.add_argument("--max", type=_nonneg_int, default=20)
-    p.set_defaults(handler=cmd_qdim)
+    p.set_defaults(handler="cmd_qdim")
 
     p = sub.add_parser("chi", help="eta-shifted graded dimension")
     p.add_argument("--max", type=_nonneg_int, default=20)
-    p.set_defaults(handler=cmd_chi)
+    p.set_defaults(handler="cmd_chi")
 
     p = sub.add_parser("verify-virasoro", help="bracket relation of the "
                        "quadratic family")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight", type=_nonneg_int, default=6)
-    p.set_defaults(handler=cmd_verify_virasoro)
+    p.set_defaults(handler="cmd_verify_virasoro")
 
     p = sub.add_parser("verify-modified", help="bracket relation of the "
                        "regularized family")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight", type=_nonneg_int, default=6)
-    p.set_defaults(handler=cmd_verify_modified)
+    p.set_defaults(handler="cmd_verify_modified")
 
     p = sub.add_parser("verify-bloch-purity", help="pure-monomial central "
                        "terms of the regularized family")
@@ -249,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--mmax", type=int)
     p.add_argument("--weight", type=_nonneg_int, default=6)
-    p.set_defaults(handler=cmd_verify_bloch_purity)
+    p.set_defaults(handler="cmd_verify_bloch_purity")
 
     p = sub.add_parser("verify-diffop", help="projection onto differential "
                        "operators")
@@ -259,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight", type=_nonneg_int, default=6)
     p.add_argument("--laurent-bound", type=_nonneg_int, default=6)
-    p.set_defaults(handler=cmd_verify_diffop)
+    p.set_defaults(handler="cmd_verify_diffop")
 
     p = sub.add_parser("verify-contraction", help="two-point contraction "
                        "formula")
     p.add_argument("--weight", type=_nonneg_int, default=4)
     p.add_argument("--window", type=_nonneg_int, default=8)
-    p.set_defaults(handler=cmd_verify_contraction)
+    p.set_defaults(handler="cmd_verify_contraction")
 
     p = sub.add_parser("verify-thm31", help="generating-function commutator "
                        "identity of the regularized family")
@@ -274,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ydeg", type=_nonneg_int, default=1)
     p.add_argument("--convention",
                    choices=("neg-powers-y1", "neg-powers-y2"))
-    p.set_defaults(handler=cmd_verify_thm31)
+    p.set_defaults(handler="cmd_verify_thm31")
 
     p = sub.add_parser("verify-axioms", help="vertex operator algebra axiom "
                        "suite")
     p.add_argument("--weight", type=_nonneg_int, default=4)
     p.add_argument("--mode-window", type=_nonneg_int, default=6)
-    p.set_defaults(handler=cmd_verify_axioms)
+    p.set_defaults(handler="cmd_verify_axioms")
 
     p = sub.add_parser("verify-jacobi", help="classical delta-kernel "
                        "identity")
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_nonneg_int, default=4)
     p.add_argument("--states", nargs="+", default=["1", "h", "omega"],
                    choices=sorted(STATE_TABLE))
-    p.set_defaults(handler=cmd_verify_delta_kernel, check=jacobi_check,
+    p.set_defaults(handler="cmd_verify_delta_kernel", check="jacobi_check",
                    identity="jacobi-identity", extra=())
 
     p = sub.add_parser("verify-thm42", help="dilated delta-kernel identity")
@@ -297,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ydeg", type=_nonneg_int, default=4)
     p.add_argument("--states", nargs="+", default=["1", "h", "omega"],
                    choices=sorted(STATE_TABLE))
-    p.set_defaults(handler=cmd_verify_delta_kernel,
-                   check=dilated_jacobi_check,
+    p.set_defaults(handler="cmd_verify_delta_kernel",
+                   check="dilated_jacobi_check",
                    identity="dilated-jacobi-identity", extra=("ydeg",))
 
     p = sub.add_parser("verify-weak-comm", help="weak commutativity order "
@@ -307,16 +313,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", default="h", choices=sorted(STATE_TABLE))
     p.add_argument("--window", type=_nonneg_int, default=5)
     p.add_argument("--nmax", type=_nonneg_int, default=8)
-    p.set_defaults(handler=cmd_verify_weak_comm)
+    p.set_defaults(handler="cmd_verify_weak_comm")
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process.  It names handlers
+    and checks rather than holding them, so ``main`` looks each up when
+    it is called, and no handler may mutate a parsed default."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        code, payload, text = args.handler(args)
+        code, payload, text = globals()[args.handler](args)
     except (UncertifiedError, WindowError, FitError) as exc:
         # an uncertified coefficient, a window too small to certify a
         # block, or a fit with no exact solution: a result, not misuse

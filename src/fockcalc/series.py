@@ -34,7 +34,7 @@ from math import factorial
 from types import MappingProxyType
 
 from .exact import ZERO, _add_into, bernoulli
-from .fock import FockVector, fock_str, h_apply
+from .fock import FockVector, _axpy, _vec, fock_str, h_apply
 from .quadratic import ordered_pair_apply
 from .report import VerificationReport
 
@@ -555,15 +555,20 @@ class LocalizedSeries:
         return LocalizedSeries(self.pole, self.order + 1, part)
 
     def add(self, other: "LocalizedSeries") -> "LocalizedSeries":
-        if self.pole != other.pole:
-            raise ValueError("cannot add localized series with different poles")
+        """Sum over the pole of self.  other's pole must be the same form
+        or its negation; body/(-lambda)^k is (-1)^k body/lambda^k."""
+        body_b = other.body
+        if other.pole != self.pole:
+            if other.pole != {n: -c for n, c in self.pole.items()}:
+                raise ValueError(
+                    "cannot add localized series with different poles")
+            body_b = body_b.scale((-1) ** other.order)
         k = max(self.order, other.order)
         body_a = self.body
         for _ in range(k - self.order):
             body_a = self._pole_times(body_a)
-        body_b = other.body
         for _ in range(k - other.order):
-            body_b = other._pole_times(body_b)
+            body_b = self._pole_times(body_b)
         return LocalizedSeries(self.pole, k, body_a.add(body_b))
 
     def expand(self, conv: ExpansionConvention, dvar_floor: int) -> MultiSeries:
@@ -833,6 +838,7 @@ def _mul_delta_pinned(n_series: MultiSeries, f: str, g: str, x1: str, x2: str,
                 None if n_hi is None else n_hi - hi)
     out = MultiSeries(n_series.varspecs, {}, ival,
                       _min_none(n_series.tcap, tcap))
+    accs = {}                   # cell -> _axpy accumulator
     for e1 in range(lo, hi + 1):
         efactor = exp_linear_form(n_series.varspecs, {f: e1, g: -e1}, tcap)
         for ncell, vec in n_series.terms.items():
@@ -844,7 +850,11 @@ def _mul_delta_pinned(n_series: MultiSeries, f: str, g: str, x1: str, x2: str,
                 cell = tuple(cell)
                 if out.tcap is not None and out.tdeg(cell) > out.tcap:
                     continue
-                _add_into(out.terms, cell, vec.scale(c))
+                acc = accs.get(cell)
+                if acc is None:
+                    acc = accs[cell] = {}
+                _axpy(acc, vec, c)
+    out.terms = {cell: _vec(acc) for cell, acc in accs.items()}
     return out._prune()
 
 
@@ -866,49 +876,48 @@ def _plusplus_correction(conv: ExpansionConvention, window: int,
     terms, as ((n, series at x1^n x2^-n), ...) for n in the window.
 
     Each term is +(1/4) d_outer [ W'(a-b) e^{n(f-g)} ], expanded under the
-    convention.  It does not depend on the vector it acts on, so it is
-    built once and shared; the series' terms are read-only.
+    convention.  The four poles a-b come in two opposite pairs, so the
+    terms of each n are summed over a pole taken up to sign and only the
+    two sums are expanded; expansion is linear, so this is exact.  The
+    correction does not depend on the vector it acts on, so it is built
+    once and shared; the series' terms are read-only.
     """
     w, d = window, ydeg
     varspecs = _genfun_space(w, d)
     floor_d = _genfun_floor(d)
     body_order = d + 3
-    localized = {}
-    for outer, a_form, b_var, (f, g) in _RHS_TERMS:
-        base = _derivative_pole(a_form, {b_var: 1}, varspecs, body_order)
-        for n in range(-w, w + 1):
+    bases = [(outer, f, g,
+              _derivative_pole(a_form, {b_var: 1}, varspecs, body_order))
+             for outer, a_form, b_var, (f, g) in _RHS_TERMS]
+    out = []
+    for n in range(-w, w + 1):
+        by_pole = {}
+        for outer, f, g, base in bases:
             efactor = exp_linear_form(varspecs, {f: n, g: -n}, body_order)
             piece = (base.mul_series(efactor).dy(outer)
-                     .scale(Fraction(1, 4))
-                     .expand(conv, floor_d))
-            acc = localized.get(n)
-            localized[n] = piece if acc is None else acc.add(piece)
-    for ser in localized.values():
+                     .scale(Fraction(1, 4)))
+            key = _form_up_to_sign(piece.pole)
+            acc = by_pole.get(key)
+            by_pole[key] = piece if acc is None else acc.add(piece)
+        ser = None
+        for loc in by_pole.values():
+            part = loc.expand(conv, floor_d)
+            ser = part if ser is None else ser.add(part)
         ser.terms = MappingProxyType(ser.terms)
-    return tuple(sorted(localized.items()))
+        out.append((n, ser))
+    return tuple(out)
 
 
-def regularized_commutator_check(v: FockVector, window: int, ydeg: int,
-                                 conv: ExpansionConvention = NEG_POWERS_Y1,
-                                 ) -> VerificationReport:
-    """Verify the generating-function commutator identity of the
-    zeta-regularized quadratic family on one vector.
+def _form_up_to_sign(form: dict) -> tuple:
+    """One key for a linear form and its negation."""
+    key = tuple(sorted(form.items()))
+    return min(key, tuple((name, -c) for name, c in key))
 
-    Left side: the bracket of the two colon-ordered generating products,
-    halved twice (the scalar ++-corrections cancel in any bracket).
-    Right side: four terms, each a regularized generating function with a
-    composite first slot times a dilated delta series, differentiated in
-    an outer variable.  Pole parts are carried symbolically and expanded
-    at comparison time under the given convention.  Compared cells: total
-    y-degree <= ydeg, both x exponents in the +-window, the distinguished
-    variable allowed down to the recorded pole floor.
-    """
-    w, d = window, ydeg
-    dvar = conv.distinguished
-    floor_d = _genfun_floor(d)
+
+def _genfun_sides(v: FockVector, w: int, d: int) -> tuple:
+    """The convention-free sides of the generating-function identity on
+    v: the left side and the colon part of the right side."""
     varspecs = _genfun_space(w, d)
-    pos = {vs.name: i for i, vs in enumerate(varspecs)}
-    x1i, x2i = pos["x1"], pos["x2"]
 
     # left side: (1/4) [colon pair at x1, colon pair at x2] v
     q = slot_pair_apply(varspecs, {"y3": 1}, {"y4": 1}, "x2", (-w, w), v, d)
@@ -924,9 +933,21 @@ def regularized_commutator_check(v: FockVector, window: int, ydeg: int,
                                    (-2 * w, 2 * w), v, d + 1)
         nd = _mul_delta_pinned(n_series, f, g, "x1", "x2", (-w, w), d + 1)
         rhs = rhs.add(nd.diff(outer).scale(Fraction(-1, 4)))
-    # correction part, acting on v as identity
-    localized = {n: ser.scale_vector(v)
-                 for n, ser in _plusplus_correction(conv, w, d)}
+    return lhs, rhs
+
+
+def _genfun_compare(v: FockVector, lhs: MultiSeries, rhs: MultiSeries,
+                    conv: ExpansionConvention, w: int,
+                    d: int) -> VerificationReport:
+    """The report of one convention: the sides of ``_genfun_sides``
+    compared, with the expanded ++ correction acting on v as identity
+    added to the right side."""
+    dvar = conv.distinguished
+    floor_d = _genfun_floor(d)
+    varspecs = lhs.varspecs
+    pos = {vs.name: i for i, vs in enumerate(varspecs)}
+    x1i, x2i = pos["x1"], pos["x2"]
+    correction = dict(_plusplus_correction(conv, w, d))
 
     rep = VerificationReport(
         identity="regularized-commutator-genfun",
@@ -955,12 +976,13 @@ def regularized_commutator_check(v: FockVector, window: int, ydeg: int,
     region_size = ycell_count * (2 * w + 1) ** 2
 
     candidates = set(lhs.terms) | set(rhs.terms)
-    for n, ser in localized.items():
-        for cell in ser.terms:
-            full = list(cell)
-            full[x1i] = n
-            full[x2i] = -n
-            candidates.add(tuple(full))
+    if v:                       # the correction acts on v as identity
+        for n, ser in correction.items():
+            for cell in ser.terms:
+                full = list(cell)
+                full[x1i] = n
+                full[x2i] = -n
+                candidates.add(tuple(full))
     checked = sorted(c for c in candidates if in_region(c))
     rep.bulk_passed += region_size - len(checked)
 
@@ -969,21 +991,49 @@ def regularized_commutator_check(v: FockVector, window: int, ydeg: int,
         lv = lhs.terms.get(cell, zero) if lhs.known(cell) else None
         rv = rhs.terms.get(cell, zero) if rhs.known(cell) else None
         if rv is not None and cell[x2i] == -cell[x1i]:
-            ser = localized[cell[x1i]]
+            ser = correction[cell[x1i]]
             ycell = list(cell)
             ycell[x1i] = 0
             ycell[x2i] = 0
             ycell = tuple(ycell)
-            if ser.known(ycell):
-                rv = rv + ser.terms.get(ycell, zero)
-            else:
+            if not ser.known(ycell):
                 rv = None
+            elif ycell in ser.terms:
+                rv = rv + v.scale(ser.terms[ycell])
         key = _cell_key(varspecs, cell)
         if lv is None or rv is None:
             rep.add_uncertified(key)
         else:
             rep.add_cell(key, fock_str(lv), fock_str(rv))
     return rep
+
+
+def regularized_commutator_checks(v: FockVector, window: int, ydeg: int,
+                                  convs) -> list:
+    """Verify the generating-function commutator identity of the
+    zeta-regularized quadratic family on one vector, one report per
+    convention in convs.
+
+    Left side: the bracket of the two colon-ordered generating products,
+    halved twice (the scalar ++-corrections cancel in any bracket).
+    Right side: four terms, each a regularized generating function with a
+    composite first slot times a dilated delta series, differentiated in
+    an outer variable.  Pole parts are carried symbolically and expanded
+    at comparison time under each convention; the colon parts of both
+    sides do not depend on it and are built once.  Compared cells: total
+    y-degree <= ydeg, both x exponents in the +-window, the distinguished
+    variable allowed down to the recorded pole floor.
+    """
+    lhs, rhs = _genfun_sides(v, window, ydeg)
+    return [_genfun_compare(v, lhs, rhs, conv, window, ydeg)
+            for conv in convs]
+
+
+def regularized_commutator_check(v: FockVector, window: int, ydeg: int,
+                                 conv: ExpansionConvention = NEG_POWERS_Y1,
+                                 ) -> VerificationReport:
+    """``regularized_commutator_checks`` under one convention."""
+    return regularized_commutator_checks(v, window, ydeg, (conv,))[0]
 
 
 def _cell_key(varspecs, cell):

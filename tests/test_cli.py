@@ -182,3 +182,35 @@ def test_uncertified_exits_one_other_errors_two(monkeypatch, capsys, exc,
     monkeypatch.setattr(cli, "cmd_zeta", handler)
     assert cli.main(["zeta", "--max", "1"]) == code
     assert str(exc) in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for argv in (["zeta", "--max", "1"], ["bernoulli", "--max", "2"],
+                     ["zeta", "--max", "3"]):
+            assert cli.main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert "zeta(-3) = 1/120" in capsys.readouterr().out
+
+
+def test_handlers_leave_parsed_defaults_alone(capsys):
+    # the shared parser hands every run the same default objects
+    def defaults():
+        return [vars(cli._parser().parse_args([name]))
+                for name in ("verify-jacobi", "verify-thm42")]
+
+    before = [{k: list(v) if isinstance(v, list) else v
+               for k, v in parsed.items()} for parsed in defaults()]
+    for argv in (["verify-jacobi", "--weight", "0", "--window", "0"],
+                 ["verify-thm42", "--weight", "0", "--window", "0",
+                  "--ydeg", "0"]):
+        assert cli.main(argv) in (0, 1)
+    capsys.readouterr()
+    assert defaults() == before

@@ -1,5 +1,6 @@
-"""Property test: LocalizedSeries.expand against a generate-then-filter
-reference.
+"""Property tests: LocalizedSeries.expand against a generate-then-filter
+reference, and the sum of two series with opposite poles against the sum
+of their expansions.
 
 The reference below is the direct reading of the expansion formula
 lambda^{-k} = sum_i C(-k,i) (c_d y_d)^{-k-i} mu^i: it forms every product
@@ -53,11 +54,7 @@ def reference_expand(loc, conv, dvar_floor):
 
 
 @st.composite
-def localized_series(draw):
-    conv = draw(st.sampled_from((NEG_POWERS_Y1, NEG_POWERS_Y2)))
-    coef = st.integers(-3, 3)
-    pole = {"y1": draw(coef), "y2": draw(coef), "y3": draw(coef)}
-    pole[conv.distinguished] = draw(coef.filter(bool))
+def scalar_bodies(draw):
     tcap = draw(st.integers(0, 4))
     # some body cells lie above tcap, so the reference has to discard them
     cell = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
@@ -65,8 +62,16 @@ def localized_series(draw):
     terms = draw(st.dictionaries(
         cell, st.fractions(min_value=-4, max_value=4, max_denominator=6)
         .filter(bool), max_size=8))
-    body = MultiSeries(VARSPECS, terms, {"x": (None, None)}, tcap)
-    loc = LocalizedSeries(pole, draw(st.integers(1, 3)), body)
+    return MultiSeries(VARSPECS, terms, {"x": (None, None)}, tcap)
+
+
+@st.composite
+def localized_series(draw):
+    conv = draw(st.sampled_from((NEG_POWERS_Y1, NEG_POWERS_Y2)))
+    coef = st.integers(-3, 3)
+    pole = {"y1": draw(coef), "y2": draw(coef), "y3": draw(coef)}
+    pole[conv.distinguished] = draw(coef.filter(bool))
+    loc = LocalizedSeries(pole, draw(st.integers(1, 3)), draw(scalar_bodies()))
     return loc, conv, draw(st.integers(-6, 1))
 
 
@@ -80,6 +85,29 @@ def test_expand_matches_generate_then_filter(case):
     assert got.tcap == want.tcap
     assert got.neg_floor == want.neg_floor
     assert got.x_ival == want.x_ival
+
+
+@settings(max_examples=200, deadline=None)
+@given(localized_series(), st.integers(1, 3), scalar_bodies())
+def test_add_of_opposite_poles_commutes_with_expand(case, order, body):
+    # body/(-lambda)^k is (-1)^k body/lambda^k, and expansion is linear
+    a, conv, dvar_floor = case
+    b = LocalizedSeries({n: -c for n, c in a.pole.items()}, order, body)
+    got = a.add(b).expand(conv, dvar_floor)
+    want = a.expand(conv, dvar_floor).add(b.expand(conv, dvar_floor))
+    assert got.terms == want.terms
+    assert got.tcap == want.tcap
+    assert got.neg_floor == want.neg_floor
+    assert got.x_ival == want.x_ival
+
+
+def test_add_rejects_unrelated_poles():
+    body = MultiSeries(VARSPECS, {(0, 0, 0, 0): F(1)}, None, 2)
+    a = LocalizedSeries({"y1": 1, "y2": -1}, 1, body)
+    for pole in ({"y1": 1, "y2": 1}, {"y1": 2, "y2": -2}, {"y1": -1},
+                 {"y1": -1, "y2": 1, "y3": 1}):
+        with pytest.raises(ValueError):
+            a.add(LocalizedSeries(pole, 1, body))
 
 
 def test_expand_rejects_pole_in_window_variable():

@@ -15,6 +15,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = {
     "thm31_w1_win2_ydeg1.json":
         "verify-thm31 --weight 1 --window 2 --ydeg 1",
+    "thm31_w1_win2_ydeg2.json":
+        "verify-thm31 --weight 1 --window 2 --ydeg 2",
     "thm31_w2_win2_ydeg1_neg-powers-y2.json":
         "verify-thm31 --weight 2 --window 2 --ydeg 1 "
         "--convention neg-powers-y2",

@@ -14,9 +14,12 @@ from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, MultiSeries,
                              convention, delta_series, exp_linear_form,
                              monomial_series, normal_ordered_pair,
                              one_minus_exp_inverse, plusplus_pair,
-                             regularized_commutator_check, trunc_var,
+                             regularized_commutator_check,
+                             regularized_commutator_checks, trunc_var,
                              window_var)
-from fockcalc.series import _plusplus_correction
+from fockcalc.series import (_RHS_TERMS, _cell_key, _derivative_pole,
+                             _genfun_floor, _genfun_sides, _genfun_space,
+                             _plusplus_correction)
 
 
 def mono(*parts):
@@ -367,6 +370,102 @@ def test_commutator_genfun_hot_cache_matches_cold():
     _plusplus_correction.cache_clear()
     cold = regularized_commutator_check(v, 1, 1, NEG_POWERS_Y1).to_json_dict()
     assert hot == cold
+
+
+def _four_piece_correction(conv, window, ydeg):
+    # every term expanded on its own, then summed per n
+    varspecs = _genfun_space(window, ydeg)
+    body_order = ydeg + 3
+    out = {}
+    for outer, a_form, b_var, (f, g) in _RHS_TERMS:
+        base = _derivative_pole(a_form, {b_var: 1}, varspecs, body_order)
+        for n in range(-window, window + 1):
+            efactor = exp_linear_form(varspecs, {f: n, g: -n}, body_order)
+            piece = (base.mul_series(efactor).dy(outer).scale(F(1, 4))
+                     .expand(conv, _genfun_floor(ydeg)))
+            out[n] = piece if n not in out else out[n].add(piece)
+    return out
+
+
+@pytest.mark.parametrize("conv", [NEG_POWERS_Y1, NEG_POWERS_Y2],
+                         ids=["y1", "y2"])
+@pytest.mark.parametrize("window,ydeg", [(1, 1), (2, 1), (2, 2)])
+def test_plusplus_correction_matches_four_piece_sum(conv, window, ydeg):
+    want = _four_piece_correction(conv, window, ydeg)
+    got = _plusplus_correction(conv, window, ydeg)
+    assert [n for n, _ in got] == sorted(want)
+    for n, ser in got:
+        # the pure central term carries m^3 - m: zero at |n| <= 1 only
+        assert bool(ser.terms) == (abs(n) >= 2), n
+        assert dict(ser.terms) == want[n].terms, n
+        assert ser.x_ival == want[n].x_ival
+        assert ser.tcap == want[n].tcap
+        assert ser.neg_floor == want[n].neg_floor
+
+
+def _certified(rep):
+    return {c.key: (c.lhs, c.rhs, c.status) for c in rep.cells
+            if c.status != "uncertified"}
+
+
+@pytest.mark.parametrize("v", [mono(1), mono(2) + mono(1, 1).scale(F(1, 2))
+                               + vacuum()], ids=["h", "inhomogeneous"])
+def test_commutator_genfun_enlarged_box_keeps_certified_cells(v):
+    # a wider window or a higher y-degree certifies more, and must list
+    # every cell certified on the smaller box as it was
+    convs = (NEG_POWERS_Y1, NEG_POWERS_Y2)
+    small = regularized_commutator_checks(v, 2, 1, convs)
+    for window, ydeg in ((3, 1), (2, 2)):
+        large = regularized_commutator_checks(v, window, ydeg, convs)
+        for rep_small, rep_large in zip(small, large):
+            cells = _certified(rep_small)
+            assert cells and rep_small.passed and rep_large.passed
+            listed = {c.key: (c.lhs, c.rhs, c.status)
+                      for c in rep_large.cells}
+            for key, entry in cells.items():
+                assert listed.get(key) == entry, key
+
+
+def _region(conv, w, d):
+    # every compared cell: x exponents in the +-w box, the others of
+    # y1..y4 nonnegative, the distinguished one down to the pole floor,
+    # total y-degree <= d
+    dvar = int(conv.distinguished[1]) - 1
+    for ed in range(_genfun_floor(d), d + 1):
+        budget = d - ed
+        for a in range(budget + 1):
+            for b in range(budget - a + 1):
+                for c in range(budget - a - b + 1):
+                    rest = [a, b, c]
+                    ys = rest[:dvar] + [ed] + rest[dvar:]
+                    for e1 in range(-w, w + 1):
+                        for e2 in range(-w, w + 1):
+                            yield tuple(ys) + (e1, e2)
+
+
+@pytest.mark.parametrize("conv", [NEG_POWERS_Y1, NEG_POWERS_Y2],
+                         ids=["y1", "y2"])
+def test_commutator_genfun_bulk_cells_are_certified_zeros(conv):
+    w, d = 2, 1
+    varspecs = _genfun_space(w, d)
+    correction = dict(_plusplus_correction(conv, w, d))
+    for mon in basis(2):
+        v = FockVector({mon: F(1)})
+        lhs, rhs = _genfun_sides(v, w, d)
+        rep = regularized_commutator_checks(v, w, d, (conv,))[0]
+        listed = {c.key for c in rep.cells}
+        region = list(_region(conv, w, d))
+        assert len(set(region)) == len(region)
+        assert rep.bulk_passed + len(rep.cells) == len(region)
+        for cell in region:
+            if _cell_key(varspecs, cell) in listed:
+                continue
+            assert lhs.known(cell) and rhs.known(cell), cell
+            assert cell not in lhs.terms and cell not in rhs.terms, cell
+            if cell[5] == -cell[4]:
+                ser = correction[cell[4]]
+                ycell = cell[:4] + (0, 0)
+                assert ser.known(ycell) and ycell not in ser.terms, cell
 
 
 def test_multiseries_json_records():
