@@ -5,7 +5,8 @@ document with a top-level ``"schema": 1`` field.  All numbers are exact
 rational strings.  Identical configuration produces byte-identical JSON.
 
 Exit codes: 0 when every checked cell passes, 1 on any identity
-violation or uncertified cell, 2 on usage errors.
+violation or uncertified cell, 2 on usage errors.  Any other exception,
+such as a ``KeyError``, is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -335,7 +336,8 @@ def main(argv=None) -> int:
         # block, or a fit with no exact solution: a result, not misuse
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
+        # a named precondition; any other exception is a bug and raises
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = (json.dumps(payload, indent=2, sort_keys=True) + "\n"

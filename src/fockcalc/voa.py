@@ -19,10 +19,11 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 
-from .exact import PowerSeries
-from .fock import (FockVector, _axpy, _vec, fock_str, h_apply, vacuum,
-                   weight_basis)
+from .exact import PowerSeries, _add_into
+from .fock import (FockVector, _axpy, _insert_part, _remove_part, _vec,
+                   fock_str, vacuum, weight_basis)
 from .quadratic import L_apply
 from .report import FAIL, PASS, VerificationReport
 from .series import MultiSeries, comb_int, window_var
@@ -49,38 +50,40 @@ class VOAConstants:
 
 @functools.lru_cache(maxsize=None)
 def _mode_mon(state: tuple, n: int, target: tuple) -> FockVector:
-    """The n-th mode of the monomial state applied to a target monomial.
+    """The n-th mode of the monomial state applied to a target monomial,
+    with int coefficients.
 
     For state = (k, rest...) the creation part acts after the recursive
     operator, the annihilation part before it; both sums are finite by
-    weight bookkeeping (u_j w = 0 once j exceeds wt u + wt w - 1).
+    weight bookkeeping (u_j w = 0 once j exceeds wt u + wt w - 1).  Each
+    step inserts or removes one part, and its weight, a binomial
+    C(-m-1, k-1) times the h-action m * multiplicity, is an integer.  The
+    term map is read-only, since every caller shares the cached vector.
     """
     if not state:
-        return FockVector({target: Fraction(1)}) if n == -1 else FockVector()
+        return FockVector(MappingProxyType({target: 1} if n == -1 else {}))
     k = state[0]
     rest = state[1:]
     wt_rest = sum(rest)
     wt_target = sum(target)
-    acc = {}
+    terms = {}
     # creation part: sum_{m<=-1} C(-m-1, k-1) h(m) (rest_{n-m-k} target)
     m_lo = n - k - (wt_rest + wt_target - 1)
     for m in range(m_lo, 0):
-        inner = _mode_mon(rest, n - m - k, target)
+        inner = _mode_mon(rest, n - m - k, target).terms
         if inner:
             coef = comb_int(-m - 1, k - 1)
             if coef:
-                _axpy(acc, h_apply(m, inner), coef)
-    # annihilation part: sum_{m>=1} C(-m-1, k-1) rest_{n-m-k} (h(m) target)
-    for m in range(1, wt_target + 1):
-        hit = h_apply(m, FockVector({target: Fraction(1)}))
-        if not hit:
-            continue
-        coef = comb_int(-m - 1, k - 1)
-        if not coef:
-            continue
-        for mon2, c2 in hit.terms.items():
-            _axpy(acc, _mode_mon(rest, n - m - k, mon2), c2 * coef)
-    return _vec(acc)
+                for mon, c in inner.items():
+                    _add_into(terms, _insert_part(mon, -m), coef * c)
+    # annihilation part: sum_{m>=1} C(-m-1, k-1) rest_{n-m-k} (h(m) target),
+    # where h(m) removes one part m with weight m times its multiplicity
+    for m in sorted(set(target)):
+        coef = comb_int(-m - 1, k - 1) * m * target.count(m)
+        inner = _mode_mon(rest, n - m - k, _remove_part(target, m)).terms
+        for mon, c in inner.items():
+            _add_into(terms, mon, coef * c)
+    return FockVector(MappingProxyType(terms))
 
 
 def mode_apply(state: FockVector, n: int, w: FockVector) -> FockVector:
@@ -445,16 +448,27 @@ def jacobi_check(u: FockVector, v: FockVector, w: FockVector,
 # The dilated Jacobi identity
 # ---------------------------------------------------------------------------
 
-def _compose_zhu_with_log(u: FockVector, v: FockVector, r_order: int) -> dict:
+def _compose_zhu_with_log(u: FockVector, v: FockVector,
+                          r_order: int) -> MappingProxyType:
     """Y[u, -y01]v with y01 = log(1 - x0/x1), expanded exactly in the
     ratio r = x0/x1.
 
     Substitutes y = sum_{k>=1} r^k / k into the Laurent expansion of the
     change-of-variables operator; negative powers of y become r^{-m}
     times inverse unit series, expanded in nonnegative powers of r beyond
-    the leading term.  Returns {r-exponent: FockVector}.
+    the leading term.  Returns {r-exponent: FockVector}, memoised on the
+    terms of u and v, so every w of one (u, v) shares it; the mapping and
+    its vectors are read-only.
     """
-    zb = zhu_bracket_apply(u, v, r_order)
+    return _compose_zhu_frozen(frozenset(u.terms.items()),
+                               frozenset(v.terms.items()), r_order)
+
+
+@functools.lru_cache(maxsize=None)
+def _compose_zhu_frozen(u_terms: frozenset, v_terms: frozenset,
+                        r_order: int) -> MappingProxyType:
+    zb = zhu_bracket_apply(FockVector(dict(u_terms)),
+                           FockVector(dict(v_terms)), r_order)
     m_max = max((-p for (p,) in zb.terms if p < 0), default=0)
     work = r_order + m_max
     ylog = PowerSeries({k: Fraction(1, k) for k in range(1, r_order + 1)},
@@ -489,7 +503,8 @@ def _compose_zhu_with_log(u: FockVector, v: FockVector, r_order: int) -> dict:
             for t, c in inv_unit_power(m).coeffs.items():
                 if t - m <= r_order:
                     _axpy(out.setdefault(t - m, {}), vec, c)
-    return {q: vec for q, acc in out.items() if (vec := _vec(acc))}
+    return MappingProxyType({q: FockVector(MappingProxyType(vec.terms))
+                             for q, acc in out.items() if (vec := _vec(acc))})
 
 
 def _dilated_lhs_cell(u, v, w, ww, a0, a1, a2) -> FockVector:

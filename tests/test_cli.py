@@ -169,17 +169,23 @@ def test_negative_window_is_usage_error(args):
     (FitError("inconsistent system: nonzero residual"), 1),
     (SeriesError("exponent 9 exceeds truncation order 4"), 2),
     (ValueError("m_max=2 gives too few interpolation points"), 2),
-    (KeyError("no-such-state"), 2),
+    (KeyError("no-such-state"), None),
 ])
 def test_uncertified_exits_one_other_errors_two(monkeypatch, capsys, exc,
                                                 code):
     # an uncertified coefficient, a window too small to certify and a
     # failed exact fit are verdicts (exit 1); a failed precondition or a
-    # bad argument is a usage error (exit 2)
+    # bad argument is a usage error (exit 2); any other exception is a
+    # bug, which raises rather than passing for misuse (code None)
     def handler(args):
         raise exc
 
     monkeypatch.setattr(cli, "cmd_zeta", handler)
+    if code is None:
+        with pytest.raises(type(exc)) as raised:
+            cli.main(["zeta", "--max", "1"])
+        assert raised.value is exc
+        return
     assert cli.main(["zeta", "--max", "1"]) == code
     assert str(exc) in capsys.readouterr().err
 

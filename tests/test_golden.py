@@ -28,6 +28,8 @@ GOLDEN = {
         "verify-contraction --weight 2 --window 3",
     "axioms_w2_mw3.json":
         "verify-axioms --weight 2 --mode-window 3",
+    "axioms_w3_mw6.json":
+        "verify-axioms --weight 3 --mode-window 6",
     "weak_comm_omega_omega.json":
         "verify-weak-comm --u omega --v omega",
     "virasoro_m2_n-2_w4.json":

@@ -1,18 +1,21 @@
 """Tests for the free boson vertex operator algebra layer."""
 
+import functools
 import gc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fockcalc import cli, voa
 from fockcalc.fock import FockVector, basis, h_apply, monomial, vacuum
 from fockcalc.quadratic import L_apply, to_matrix, L_op
+from fockcalc.series import comb_int
 from fockcalc.voa import (VOAConstants, X_apply, axiom_suite,
                           commutator_cells, dilated_jacobi_check,
                           jacobi_check, mode_apply, weak_comm_check,
                           x_commutator_cells, zhu_bracket_apply)
-from fockcalc.voa import _axpy, _mode_mon, _vec
+from fockcalc.voa import _axpy, _compose_zhu_with_log, _mode_mon, _vec
 
 
 def mono(*parts):
@@ -288,3 +291,73 @@ def test_mode_tables_are_freed_with_their_check(check):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# integer mode tables
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _mode_mon_by_h_apply(state, n, target):
+    """The creation/annihilation recursion through ``h_apply`` and
+    Fraction vectors: the oracle for the int tables of ``_mode_mon``."""
+    if not state:
+        return FockVector({target: F(1)}) if n == -1 else FockVector()
+    k, rest = state[0], state[1:]
+    acc = FockVector()
+    for m in range(n - k - (sum(rest) + sum(target) - 1), 0):
+        inner = _mode_mon_by_h_apply(rest, n - m - k, target)
+        acc = acc + h_apply(m, inner).scale(comb_int(-m - 1, k - 1))
+    for m in range(1, sum(target) + 1):
+        hit = h_apply(m, FockVector({target: F(1)}))
+        for mon2, c2 in hit.terms.items():
+            inner = _mode_mon_by_h_apply(rest, n - m - k, mon2)
+            acc = acc + inner.scale(c2 * comb_int(-m - 1, k - 1))
+    return acc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(basis(4)), st.integers(-8, 8),
+       st.sampled_from(basis(4)))
+def test_mode_tables_match_h_apply_recursion(state, n, target):
+    got = _mode_mon(state, n, target)
+    assert got == _mode_mon_by_h_apply(state, n, target)
+    assert all(type(c) is int and c for c in got.terms.values())
+
+
+def test_mode_tables_are_read_only():
+    table = _mode_mon((2, 1), -3, (1, 1))
+    assert table.terms
+    with pytest.raises(TypeError):
+        table.terms[(9,)] = 1
+    with pytest.raises(TypeError):
+        del table.terms[next(iter(table.terms))]
+
+
+def test_axiom_suite_same_on_hot_and_cold_cache():
+    hot = axiom_suite(3, 4).to_json_dict()
+    assert axiom_suite(3, 4).to_json_dict() == hot
+    _mode_mon.cache_clear()
+    assert axiom_suite(3, 4).to_json_dict() == hot
+
+
+def test_compose_is_shared_by_every_w_of_a_pair(monkeypatch, capsys):
+    # one change-of-variables expansion per (u, v) pair, not per w
+    built = []
+    real = voa.zhu_bracket_apply
+    monkeypatch.setattr(voa, "zhu_bracket_apply",
+                        lambda *a: built.append(1) or real(*a))
+    voa._compose_zhu_frozen.cache_clear()
+    try:
+        assert cli.main(["verify-thm42", "--weight", "1", "--window", "1",
+                         "--ydeg", "1"]) == 0
+    finally:
+        voa._compose_zhu_frozen.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 9
+    g = _compose_zhu_with_log(OMEGA, H, 5)
+    assert _compose_zhu_with_log(OMEGA.scale(1), H.scale(1), 5) is g
+    with pytest.raises(TypeError):
+        g[99] = FockVector()
+    with pytest.raises(TypeError):
+        next(iter(g.values())).terms[(9,)] = F(1)
