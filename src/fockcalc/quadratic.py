@@ -47,43 +47,46 @@ def ordered_pair_apply(j: int, k: int, v: FockVector) -> FockVector:
 
 
 @functools.lru_cache(maxsize=None)
-def _lr_mon(r: int, n: int, mon: tuple) -> FockVector:
-    """2 L^(r)(n) applied to one basis monomial, with int coefficients.
+def _lpq_mon(p: int, q: int, n: int, mon: tuple) -> FockVector:
+    """The sum over ordered pairs j + k = n of j^p k^q :h(j)h(k): applied
+    to one basis monomial, with int coefficients.
 
-    Doubling clears the 1/2 of the family: 2 L^(r)(n) is the sum over
-    ordered pairs j + k = n of j^r k^r :h(j)h(k):, and the h-actions, the
-    weights and the multiplicities are all integers.  The term map is
-    read-only, since every caller shares the cached vector.
+    The h-actions, the weights and the multiplicities are all integers.
+    At p = q = r this is 2 L^(r)(n): doubling clears the 1/2 of the
+    family.  The term map is read-only, since every caller shares the
+    cached vector.
     """
     terms = {}
     # two creation modes: h(j)h(k) inserts the parts -j and -k
     for j in range(n + 1, 0):
         k = n - j
         _add_into(terms, _insert_part(_insert_part(mon, -j), -k),
-                  j ** r * k ** r)
-    for p in set(mon):
-        q = n - p
-        if q < 0:
-            # h(q)h(p), from the ordered pairs (p, q) and (q, p): remove
-            # one part p (times p * its multiplicity), insert the part -q
-            _add_into(terms, _insert_part(_remove_part(mon, p), -q),
-                      2 * p ** (r + 1) * q ** r * mon.count(p))
-        elif q in mon and (mult := mon.count(q) * (mon.count(p) - (p == q))):
-            # h(p)h(q) with both annihilating; the pair (q, p) is its own
+                  j ** p * k ** q)
+    for a in set(mon):
+        b = n - a
+        if b < 0:
+            # h(b)h(a), from the ordered pairs (a, b) and (b, a): remove
+            # one part a (times a * its multiplicity), insert the part -b;
+            # for p != q the two orders can cancel
+            if w := (a ** p * b ** q + b ** p * a ** q) * a * mon.count(a):
+                _add_into(terms, _insert_part(_remove_part(mon, a), -b), w)
+        elif b in mon and (mult := mon.count(b) * (mon.count(a) - (a == b))):
+            # h(a)h(b) with both annihilating; the pair (b, a) is its own
             # term of this loop
-            _add_into(terms, _remove_part(_remove_part(mon, q), p),
-                      p ** (r + 1) * q ** (r + 1) * mult)
+            _add_into(terms, _remove_part(_remove_part(mon, b), a),
+                      a ** (p + 1) * b ** (q + 1) * mult)
     return FockVector(MappingProxyType(terms))
 
 
 def Lr_apply(r: int, n: int, v: FockVector) -> FockVector:
     """(1/2) sum_j j^r (n-j)^r :h(j)h(n-j): v, from the cached doubled
-    action of each monomial of v; every coefficient is a Fraction."""
+    action 2 L^(r)(n) = ``_lpq_mon(r, r, n, .)`` of each monomial of v;
+    every coefficient is a Fraction."""
     if r < 0:
         raise ValueError("r must be >= 0")
     acc = {}
     for mon, c in v.terms.items():
-        _axpy(acc, _lr_mon(r, n, mon), c)
+        _axpy(acc, _lpq_mon(r, r, n, mon), c)
     return _vec(acc, 2)
 
 
@@ -184,7 +187,8 @@ def to_matrix(spec: OperatorSpec, max_weight: int) -> GradedOperator:
             img = spec.apply(FockVector({mon: Fraction(1)}))
             if img and w - spec.degree < 0:
                 raise ValueError(f"{spec.name} image escapes to negative weight")
-            images.append(img)
+            # columns are shared through the cache, so they are read-only
+            images.append(FockVector(MappingProxyType(img.terms)))
         cols[w] = tuple(images)
     out = GradedOperator(spec.degree, max_weight, cols)
     _MATRIX_CACHE[(spec.key, max_weight)] = out

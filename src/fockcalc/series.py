@@ -30,12 +30,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from types import MappingProxyType
 
 from .exact import ZERO, _add_into, bernoulli
 from .fock import FockVector, _axpy, _vec, fock_str, h_apply
-from .quadratic import ordered_pair_apply
+from .quadratic import _lpq_mon, ordered_pair_apply
 from .report import VerificationReport
 
 
@@ -95,8 +95,11 @@ def _min_none(a, b):
     return min(a, b)
 
 
+@functools.lru_cache(maxsize=None)
 def comb_int(a: int, b: int) -> int:
-    """Binomial coefficient with arbitrary integer top argument."""
+    """Binomial coefficient with arbitrary integer top argument; memoised,
+    since the mode tables ask for a few hundred distinct pairs many
+    thousand times."""
     if b < 0:
         return 0
     num = 1
@@ -582,7 +585,11 @@ class LocalizedSeries:
         The body must be scalar.  Body cell b times a mu^i cell lands at
         total degree tdeg(b) - k and distinguished exponent b[d] - k - i,
         so only body cells with tdeg(b) <= body.tcap and
-        b[d] >= dvar_floor + k + i are enumerated at step i.
+        b[d] >= dvar_floor + k + i are enumerated at step i, for i up to
+        imax.  The sums run in ints: the body over the lcm D of its
+        denominators, and step i weighted by c_d^(imax-i) in place of a
+        division by c_d^(k+i); each surviving cell is divided by
+        D c_d^(k+imax) once.
         """
         dvar = conv.distinguished
         c_d = self.pole.get(dvar, 0)
@@ -601,30 +608,40 @@ class LocalizedSeries:
         complete = {n: (None, None) for n in body.window_names()}
         out = MultiSeries(body.varspecs, {}, complete, body.tcap - k,
                           {dvar: dvar_floor})
-        cells = sorted(((b, val) for b, val in body.terms.items()
-                        if body.tdeg(b) <= body.tcap),
-                       key=lambda item: -item[0][di])
-        mu_power = {(0,) * len(body.varspecs): Fraction(1)}
-        for i in range(max(body.tcap - k - dvar_floor, 0) + 1):
-            while cells and cells[-1][0][di] < dvar_floor + k + i:
+        cells = [(b, val) for b, val in body.terms.items()
+                 if body.tdeg(b) <= body.tcap]
+        if not cells:
+            return out
+        den = lcm(*(val.denominator for _, val in cells))
+        cells = sorted(((b, val.numerator * (den // val.denominator))
+                        for b, val in cells), key=lambda item: -item[0][di])
+        imax = min(max(body.tcap - k - dvar_floor, 0),
+                   cells[0][0][di] - dvar_floor - k)
+        if not mu:
+            imax = min(imax, 0)
+        if imax < 0:
+            return out
+        acc = {}
+        mu_power = {(0,) * len(body.varspecs): 1}
+        for i in range(imax + 1):
+            while cells[-1][0][di] < dvar_floor + k + i:
                 cells.pop()
-            if not cells:
-                break
-            c_i = Fraction(comb_int(-k, i), c_d ** (k + i))
+            w_i = comb_int(-k, i) * c_d ** (imax - i)
             for mcell, mval in mu_power.items():
-                cm = c_i * mval
+                cm = w_i * mval
                 for bcell, bval in cells:
                     cell = [x + y for x, y in zip(mcell, bcell)]
                     cell[di] -= k + i
-                    _add_into(out.terms, tuple(cell), bval * cm)
-            if not mu:
-                break
+                    cell = tuple(cell)
+                    acc[cell] = acc.get(cell, 0) + bval * cm
             nxt = {}
             for mcell, mval in mu_power.items():
                 for j, c in mu.items():
                     new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
                     _add_into(nxt, new, mval * c)
             mu_power = nxt
+        scale = den * c_d ** (k + imax)
+        out.terms = {cell: Fraction(x, scale) for cell, x in acc.items() if x}
         return out
 
 
@@ -695,13 +712,74 @@ def _derivative_pole(a_form: dict, b_form: dict, varspecs,
 # Oscillator generating products
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _pair_weights(a: tuple, b: tuple, tcap: int) -> tuple:
+    """The y-cells of exp(-j a.y - k b.y) through total degree tcap, as
+    polynomials in the mode indices j and k.
+
+    a and b are int coefficient tuples over the trunc variables.  The
+    y^alpha coefficient is sum_{p+q=|alpha|} C_alpha(p, q) j^p k^q, where
+    C_alpha(p, q) sums prod_v (-a_v)^{s_v} (-b_v)^{t_v} / (s_v! t_v!) over
+    the splits alpha = s + t with |s| = p.  Returned as
+    ((alpha, den, ((p, q, weight), ...)), ...) with den = prod_v alpha_v!
+    and the int weights den * C_alpha(p, q): sums of products of
+    binomials, so exact by construction.
+    """
+    free = [i for i, (x, y) in enumerate(zip(a, b)) if x or y]
+    out = []
+
+    def alphas(i, budget, prefix):
+        if i == len(a):
+            yield tuple(prefix)
+            return
+        for e in range(budget + 1 if i in free else 1):
+            yield from alphas(i + 1, budget - e, prefix + [e])
+
+    def splits(alpha):
+        # (p, q, prod_v C(alpha_v, s_v) (-a_v)^{s_v} (-b_v)^{t_v})
+        parts = [(0, 0, 1)]
+        for e, x, y in zip(alpha, a, b):
+            parts = [(p + s, q + e - s,
+                      w * comb_int(e, s) * (-x) ** s * (-y) ** (e - s))
+                     for p, q, w in parts for s in range(e + 1)]
+        return parts
+
+    for alpha in alphas(0, tcap, []):
+        weights = {}
+        for p, q, w in splits(alpha):
+            if w:
+                _add_into(weights, (p, q), w)
+        if weights:
+            den = 1
+            for e in alpha:
+                den *= factorial(e)
+            out.append((alpha, den, tuple((p, q, w) for (p, q), w
+                                          in sorted(weights.items()))))
+    return tuple(out)
+
+
+def _pair_table(p: int, q: int, n: int, nums) -> FockVector:
+    """sum_{j+k=n} j^p k^q :h(j)h(k): on the int combination nums of
+    monomials, with int coefficients."""
+    if len(nums) == 1 and nums[0][1] == 1:
+        return _lpq_mon(p, q, n, nums[0][0])
+    terms = {}
+    for mon, c in nums:
+        for m, x in _lpq_mon(p, q, n, mon).terms.items():
+            _add_into(terms, m, c * x)
+    return FockVector(terms)
+
+
 def slot_pair_apply(varspecs, a_form: dict, b_form: dict, xname: str,
                     window: tuple, v: FockVector, tcap: int) -> MultiSeries:
     """:h(e^a x) h(e^b x): applied to v, unhalved.
 
     a and b are integer linear forms in the trunc variables.  The
     coefficient of x^e is sum_j :h(j)h(n-j): v exp(-j a - (n-j) b) with
-    n = -e, a finite sum on any finite vector.
+    n = -e, a finite sum on any finite vector.  Its y^alpha coefficient
+    is sum_{p+q=|alpha|} C_alpha(p, q) sum_{j+k=n} j^p k^q :h(j)h(k): v,
+    summed in ints from the ``_lpq_mon`` tables of v's monomials (over
+    the lcm of v's denominators) and the weights of ``_pair_weights``.
     """
     pos = {vs.name: i for i, vs in enumerate(varspecs)}
     xi = pos[xname]
@@ -711,24 +789,29 @@ def slot_pair_apply(varspecs, a_form: dict, b_form: dict, xname: str,
     out = MultiSeries(varspecs, {}, ival, tcap)
     if not v:
         return out
-    wv = v.max_weight()
+    trunc = [i for i, vs in enumerate(varspecs) if vs.kind == "trunc"]
+    names = [varspecs[i].name for i in trunc]
+    weights = _pair_weights(tuple(a_form.get(n, 0) for n in names),
+                            tuple(b_form.get(n, 0) for n in names), tcap)
+    den_v = lcm(*(c.denominator for c in v.terms.values()))
+    nums = [(mon, c.numerator * (den_v // c.denominator))
+            for mon, c in v.terms.items()]
     for e in range(lo, hi + 1):
-        n = -e
-        for j in range(min(0, n) - wv, max(0, n) + wv + 1):
-            k = n - j
-            if j == 0 or k == 0:
-                continue
-            vec = ordered_pair_apply(j, k, v)
-            if not vec:
-                continue
-            form: dict = {}
-            for name, c in a_form.items():
-                form[name] = form.get(name, 0) - j * c
-            for name, c in b_form.items():
-                form[name] = form.get(name, 0) - k * c
-            for ycell, c in exp_linear_form(varspecs, form, tcap).terms.items():
-                cell = ycell[:xi] + (e,) + ycell[xi + 1:]
-                _add_into(out.terms, cell, vec.scale(c))
+        tables = {}
+        for alpha, den, pq_weights in weights:
+            acc = {}
+            for p, q, w in pq_weights:
+                table = tables.get((p, q))
+                if table is None:
+                    table = tables[p, q] = _pair_table(p, q, -e, nums)
+                _axpy(acc, table, w)
+            vec = _vec(acc, den * den_v)
+            if vec:
+                cell = [0] * len(varspecs)
+                for i, x in zip(trunc, alpha):
+                    cell[i] = x
+                cell[xi] = e
+                out.terms[tuple(cell)] = vec
     return out
 
 
@@ -827,7 +910,10 @@ def _mul_delta_pinned(n_series: MultiSeries, f: str, g: str, x1: str, x2: str,
 
     The delta contributes e^{n(f-g)} x1^n x2^{-n}; for an output cell the
     x1 exponent pins n, so the x2 slice of n_series is shifted by n and
-    convolved with one exponential factor.
+    convolved with one exponential factor.  The factor's cells are taken
+    in order of degree, up to the budget tcap - tdeg left by each
+    n_series cell, with their coefficients times tcap! as int weights;
+    cells outside the certified x2 interval are never formed.
     """
     x1i, x2i = n_series.pos(x1), n_series.pos(x2)
     lo, hi = out_window
@@ -838,24 +924,44 @@ def _mul_delta_pinned(n_series: MultiSeries, f: str, g: str, x1: str, x2: str,
                 None if n_hi is None else n_hi - hi)
     out = MultiSeries(n_series.varspecs, {}, ival,
                       _min_none(n_series.tcap, tcap))
+    x2_lo, x2_hi = ival[x2]
+
+    def known_x2(e2):
+        return ((x2_lo is None or e2 >= x2_lo)
+                and (x2_hi is None or e2 <= x2_hi))
+
+    scale = factorial(tcap)
+    ncells = [(ncell, out.tcap - out.tdeg(ncell), vec)
+              for ncell, vec in n_series.terms.items()]
     accs = {}                   # cell -> _axpy accumulator
     for e1 in range(lo, hi + 1):
         efactor = exp_linear_form(n_series.varspecs, {f: e1, g: -e1}, tcap)
-        for ncell, vec in n_series.terms.items():
+        ecells = sorted((out.tdeg(ycell), ycell, _int_weight(c * scale))
+                        for ycell, c in efactor.terms.items())
+        for ncell, budget, vec in ncells:
             e2 = ncell[x2i] - e1
-            for ycell, c in efactor.terms.items():
+            if not known_x2(e2):
+                continue
+            for deg, ycell, c in ecells:
+                if deg > budget:
+                    break
                 cell = [a + b for a, b in zip(ncell, ycell)]
                 cell[x1i] = e1
                 cell[x2i] = e2
                 cell = tuple(cell)
-                if out.tcap is not None and out.tdeg(cell) > out.tcap:
-                    continue
                 acc = accs.get(cell)
                 if acc is None:
                     acc = accs[cell] = {}
                 _axpy(acc, vec, c)
-    out.terms = {cell: _vec(acc) for cell, acc in accs.items()}
+    out.terms = {cell: _vec(acc, scale) for cell, acc in accs.items()}
     return out._prune()
+
+
+def _int_weight(c) -> int:
+    """c as an int, which it must be exactly."""
+    c = Fraction(c)
+    assert c.denominator == 1, c
+    return c.numerator
 
 
 def _genfun_space(w: int, d: int) -> tuple:
@@ -870,21 +976,18 @@ def _genfun_floor(d: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _plusplus_correction(conv: ExpansionConvention, window: int,
-                         ydeg: int) -> tuple:
-    """The scalar ++ correction of the right side, summed over the four
-    terms, as ((n, series at x1^n x2^-n), ...) for n in the window.
+def _plusplus_pieces(window: int, ydeg: int) -> tuple:
+    """The convention-free part of the ++ correction: for each n in the
+    window, the pole sums ((n, (LocalizedSeries, ...)), ...).
 
-    Each term is +(1/4) d_outer [ W'(a-b) e^{n(f-g)} ], expanded under the
-    convention.  The four poles a-b come in two opposite pairs, so the
-    terms of each n are summed over a pole taken up to sign and only the
-    two sums are expanded; expansion is linear, so this is exact.  The
-    correction does not depend on the vector it acts on, so it is built
-    once and shared; the series' terms are read-only.
+    Each of the four terms is +(1/4) d_outer [ W'(a-b) e^{n(f-g)} ].  The
+    four poles a-b come in two opposite pairs, so the terms of each n are
+    summed over a pole taken up to sign; only these sums are expanded,
+    once per convention.  The bodies' terms are read-only, since every
+    convention shares them.
     """
     w, d = window, ydeg
     varspecs = _genfun_space(w, d)
-    floor_d = _genfun_floor(d)
     body_order = d + 3
     bases = [(outer, f, g,
               _derivative_pole(a_form, {b_var: 1}, varspecs, body_order))
@@ -899,8 +1002,27 @@ def _plusplus_correction(conv: ExpansionConvention, window: int,
             key = _form_up_to_sign(piece.pole)
             acc = by_pole.get(key)
             by_pole[key] = piece if acc is None else acc.add(piece)
-        ser = None
         for loc in by_pole.values():
+            loc.body.terms = MappingProxyType(loc.body.terms)
+        out.append((n, tuple(by_pole.values())))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _plusplus_correction(conv: ExpansionConvention, window: int,
+                         ydeg: int) -> tuple:
+    """The scalar ++ correction of the right side, summed over the four
+    terms, as ((n, series at x1^n x2^-n), ...) for n in the window: the
+    pole sums of ``_plusplus_pieces`` expanded under the convention.
+    Expansion is linear, so expanding the sums is exact.  The correction
+    does not depend on the vector it acts on, so it is built once and
+    shared; the series' terms are read-only.
+    """
+    floor_d = _genfun_floor(ydeg)
+    out = []
+    for n, pieces in _plusplus_pieces(window, ydeg):
+        ser = None
+        for loc in pieces:
             part = loc.expand(conv, floor_d)
             ser = part if ser is None else ser.add(part)
         ser.terms = MappingProxyType(ser.terms)
@@ -932,8 +1054,8 @@ def _genfun_sides(v: FockVector, w: int, d: int) -> tuple:
         n_series = slot_pair_apply(varspecs, a_form, {b_var: 1}, "x2",
                                    (-2 * w, 2 * w), v, d + 1)
         nd = _mul_delta_pinned(n_series, f, g, "x1", "x2", (-w, w), d + 1)
-        rhs = rhs.add(nd.diff(outer).scale(Fraction(-1, 4)))
-    return lhs, rhs
+        rhs = rhs.add(nd.diff(outer))
+    return lhs, rhs.scale(Fraction(-1, 4))
 
 
 def _genfun_compare(v: FockVector, lhs: MultiSeries, rhs: MultiSeries,

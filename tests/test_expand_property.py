@@ -5,7 +5,11 @@ of their expansions.
 The reference below is the direct reading of the expansion formula
 lambda^{-k} = sum_i C(-k,i) (c_d y_d)^{-k-i} mu^i: it forms every product
 of a body cell with a mu^i cell for i up to the certification bound and
-only then discards the cells outside the certified region.
+only then discards the cells outside the certified region.  A second
+reference is the Fraction form of the expansion loop, which divides by
+c_d^(k+i) at step i; ``expand`` sums in ints instead, scaling step i by
+c_d^(imax-i), and the pole coefficients drawn (c_d in +-1, +-2, +-3)
+exercise that scaling.
 """
 
 from fractions import Fraction as F
@@ -53,6 +57,45 @@ def reference_expand(loc, conv, dvar_floor):
     return out
 
 
+def fraction_loop_expand(loc, conv, dvar_floor):
+    # the Fraction form of the expansion loop: step i divides by
+    # c_d^(k+i) and every product is a Fraction
+    dvar = conv.distinguished
+    c_d = loc.pole[dvar]
+    body, k = loc.body, loc.order
+    di = body.pos(dvar)
+    mu = {body.pos(n): c for n, c in loc.pole.items() if n != dvar}
+    complete = {n: (None, None) for n in body.window_names()}
+    out = MultiSeries(body.varspecs, {}, complete, body.tcap - k,
+                      {dvar: dvar_floor})
+    cells = sorted(((b, val) for b, val in body.terms.items()
+                    if body.tdeg(b) <= body.tcap),
+                   key=lambda item: -item[0][di])
+    mu_power = {(0,) * len(body.varspecs): F(1)}
+    for i in range(max(body.tcap - k - dvar_floor, 0) + 1):
+        while cells and cells[-1][0][di] < dvar_floor + k + i:
+            cells.pop()
+        if not cells:
+            break
+        c_i = F(comb_int(-k, i), c_d ** (k + i))
+        for mcell, mval in mu_power.items():
+            for bcell, bval in cells:
+                cell = [x + y for x, y in zip(mcell, bcell)]
+                cell[di] -= k + i
+                cell = tuple(cell)
+                out.terms[cell] = out.terms.get(cell, 0) + bval * c_i * mval
+        if not mu:
+            break
+        nxt = {}
+        for mcell, mval in mu_power.items():
+            for j, c in mu.items():
+                new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
+                nxt[new] = nxt.get(new, 0) + mval * c
+        mu_power = nxt
+    out.terms = {c: v for c, v in out.terms.items() if v}
+    return out
+
+
 @st.composite
 def scalar_bodies(draw):
     tcap = draw(st.integers(0, 4))
@@ -82,6 +125,8 @@ def test_expand_matches_generate_then_filter(case):
     got = loc.expand(conv, dvar_floor)
     want = reference_expand(loc, conv, dvar_floor)
     assert got.terms == want.terms
+    assert got.terms == fraction_loop_expand(loc, conv, dvar_floor).terms
+    assert all(type(c) is F for c in got.terms.values())
     assert got.tcap == want.tcap
     assert got.neg_floor == want.neg_floor
     assert got.x_ival == want.x_ival

@@ -20,6 +20,9 @@ GOLDEN = {
     "thm31_w2_win2_ydeg1_neg-powers-y2.json":
         "verify-thm31 --weight 2 --window 2 --ydeg 1 "
         "--convention neg-powers-y2",
+    "thm31_w3_win2_ydeg2_neg-powers-y2.json":
+        "verify-thm31 --weight 3 --window 2 --ydeg 2 "
+        "--convention neg-powers-y2",
     "jacobi_w1_win2.json":
         "verify-jacobi --weight 1 --window 2",
     "thm42_w1_win2_ydeg2.json":

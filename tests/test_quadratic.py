@@ -15,7 +15,7 @@ from fockcalc.quadratic import (CentralDecomposition, FitError, L_apply,
                                 verify_diff_op_projection,
                                 verify_modified_virasoro,
                                 verify_monomial_purity, verify_virasoro)
-from fockcalc.quadratic import _MATRIX_CACHE, _lr_mon, ordered_pair_apply
+from fockcalc.quadratic import _MATRIX_CACHE, _lpq_mon, ordered_pair_apply
 
 
 def mono(*parts):
@@ -102,11 +102,32 @@ def test_Lr_apply_matches_direct_sum(r, n, terms):
     assert all(type(c) is F and c for c in got.terms.values())
 
 
+def _lpq_reference(p, q, n, mon):
+    """The defining sum over ordered pairs j + k = n, term by term."""
+    v = FockVector({mon: F(1)})
+    acc = FockVector()
+    for j in range(min(0, n) - sum(mon), max(0, n) + sum(mon) + 1):
+        k = n - j
+        if j and k:
+            acc = acc + ordered_pair_apply(j, k, v).scale(j ** p * k ** q)
+    return acc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(-6, 6),
+       st.sampled_from(basis(5)))
+def test_lpq_tables_match_defining_sum(p, q, n, mon):
+    # p != q weights the two slots of a mixed or creation pair unequally
+    got = _lpq_mon(p, q, n, mon)
+    assert got == _lpq_reference(p, q, n, mon)
+    assert all(type(c) is int and c for c in got.terms.values())
+
+
 @pytest.mark.parametrize("verify, m, n", [(verify_virasoro, 2, -2),
                                           (verify_modified_virasoro, 3, -3)])
 def test_Lr_tables_leave_shared_cache_intact(verify, m, n):
     verify(m, n, 4)
-    fixed = _lr_mon(1, -2, (2, 1))
+    fixed = _lpq_mon(1, 1, -2, (2, 1))
     before = dict(fixed.terms)
     assert len(before) > 1
     hot = verify(m, n, 4).to_json_dict()
@@ -114,13 +135,13 @@ def test_Lr_tables_leave_shared_cache_intact(verify, m, n):
     out.terms.clear()
     with pytest.raises(TypeError):
         fixed.terms[(5,)] = 1
-    assert _lr_mon(1, -2, (2, 1)) is fixed
+    assert _lpq_mon(1, 1, -2, (2, 1)) is fixed
     assert fixed.terms == before
-    _lr_mon.cache_clear()
+    _lpq_mon.cache_clear()
     _MATRIX_CACHE.clear()
     cold = verify(m, n, 4).to_json_dict()
     assert hot == cold
-    assert _lr_mon(1, -2, (2, 1)).terms == before
+    assert _lpq_mon(1, 1, -2, (2, 1)).terms == before
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +154,19 @@ def test_to_matrix_L0_diagonal():
     assert op.cols[1][0] == mono(1)
     assert op.cols[2][0] == mono(2).scale(2)
     assert op.cols[2][1] == mono(1, 1).scale(2)
+
+
+def test_cached_matrix_columns_are_read_only():
+    op = to_matrix(L_op(-1), 3)
+    assert to_matrix(L_op(-1), 3) is op
+    col = op.cols[2][0]
+    before = dict(col.terms)
+    assert before
+    with pytest.raises(TypeError):
+        col.terms[(9,)] = F(1)
+    with pytest.raises(TypeError):
+        del col.terms[next(iter(before))]
+    assert to_matrix(L_op(-1), 3).cols[2][0].terms == before
 
 
 def test_to_matrix_annihilates_low_weights():

@@ -5,9 +5,12 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from fockcalc.fock import FockVector, basis, fock_str, monomial, vacuum
-from fockcalc.quadratic import Lbar_apply, Lr_apply, L_apply
+from fockcalc.quadratic import (Lbar_apply, Lr_apply, L_apply, _lpq_mon,
+                                ordered_pair_apply)
 from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, MultiSeries,
                              UncertifiedError, apply_dilation, apply_taylor,
                              comb_int, constant_series, contraction_check,
@@ -18,8 +21,10 @@ from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, MultiSeries,
                              regularized_commutator_checks, trunc_var,
                              window_var)
 from fockcalc.series import (_RHS_TERMS, _cell_key, _derivative_pole,
-                             _genfun_floor, _genfun_sides, _genfun_space,
-                             _plusplus_correction)
+                             _exp_cells, _genfun_floor, _genfun_sides,
+                             _genfun_space, _mul_delta_pinned, _pair_weights,
+                             _plusplus_correction, _plusplus_pieces,
+                             slot_pair_apply)
 
 
 def mono(*parts):
@@ -91,6 +96,51 @@ def test_zero_series_products_respect_certification():
     prod = complete_zero.mul(d)
     assert not prod.terms
     assert prod.x_ival["x"] == (None, None)
+
+
+def _truncate(full, lo, hi):
+    # a finite series in x and its truncation to the certified window
+    # [lo, hi]; a None end keeps every term on that side
+    kept = {(e,): c for e, c in full.items()
+            if (lo is None or e >= lo) and (hi is None or e <= hi)}
+    return full, MultiSeries((window_var("x", -1, 1),), kept, {"x": (lo, hi)})
+
+
+@st.composite
+def _truncated_series(draw):
+    full = draw(st.dictionaries(
+        st.integers(-3, 3),
+        st.builds(F, st.sampled_from([i for i in range(-6, 7) if i]),
+                  st.integers(1, 4)),
+        max_size=6))
+    lo = draw(st.one_of(st.none(), st.integers(-4, 4)))
+    hi = draw(st.one_of(st.none(), st.integers(-4, 4)))
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    return _truncate(full, lo, hi)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_truncated_series(), _truncated_series())
+# two factors with no stored terms, unknown on the same side: the first
+# unknown product cell is the sum of their first unknown cells
+@example(_truncate({1: F(1)}, None, 0), _truncate({2: F(1)}, None, 1))
+@example(_truncate({-1: F(1)}, 0, None), _truncate({-2: F(1)}, -1, None))
+def test_product_certifies_only_cells_of_the_true_product(a, b):
+    (full_a, ser_a), (full_b, ser_b) = a, b
+    try:
+        prod = ser_a.mul(ser_b)
+    except UncertifiedError:
+        event("uncertifiable")
+        return
+    truth = {}
+    for ea, ca in full_a.items():
+        for eb, cb in full_b.items():
+            truth[ea + eb] = truth.get(ea + eb, 0) + ca * cb
+    # both factors are supported in [-3, 3], so beyond +-6 the truth is 0
+    for e in range(-20, 21):
+        if prod.known((e,)):
+            assert prod.coeff((e,)) == truth.get(e, 0), e
 
 
 def test_taylor_on_polynomial():
@@ -361,14 +411,25 @@ def test_shared_correction_is_not_mutated_by_checks():
     assert _correction_snapshot(NEG_POWERS_Y1, 1, 1) == before
     with pytest.raises(TypeError):
         cached[0][1].terms[(0,) * 6] = F(1)
+    # the convention-free pole sums behind it are shared and read-only too
+    pieces = _plusplus_pieces(1, 1)
+    assert _plusplus_pieces(1, 1) is pieces
+    for _, locs in pieces:
+        assert locs
+        for loc in locs:
+            with pytest.raises(TypeError):
+                loc.body.terms[(0,) * 6] = F(1)
 
 
 def test_commutator_genfun_hot_cache_matches_cold():
     v = mono(2)
     regularized_commutator_check(v, 1, 1, NEG_POWERS_Y2)
     hot = regularized_commutator_check(v, 1, 1, NEG_POWERS_Y1).to_json_dict()
-    _plusplus_correction.cache_clear()
+    for cache in (_plusplus_correction, _plusplus_pieces, _pair_weights,
+                  _lpq_mon, _exp_cells):
+        cache.cache_clear()
     cold = regularized_commutator_check(v, 1, 1, NEG_POWERS_Y1).to_json_dict()
+    assert _plusplus_pieces.cache_info().misses == 1
     assert hot == cold
 
 
@@ -401,6 +462,99 @@ def test_plusplus_correction_matches_four_piece_sum(conv, window, ydeg):
         assert ser.x_ival == want[n].x_ival
         assert ser.tcap == want[n].tcap
         assert ser.neg_floor == want[n].neg_floor
+
+
+def _unbudgeted_delta_product(n_series, f, g, x1, x2, out_window, tcap):
+    # every (n_series cell, exponential cell) product is formed, and only
+    # then are the cells above tcap or outside the certified box dropped
+    x1i, x2i = n_series.pos(x1), n_series.pos(x2)
+    lo, hi = out_window
+    n_lo, n_hi = n_series.x_ival[x2]
+    ival = dict(n_series.x_ival)
+    ival[x1] = (lo, hi)
+    ival[x2] = (n_lo - lo, n_hi - hi)
+    out = MultiSeries(n_series.varspecs, {}, ival, min(n_series.tcap, tcap))
+    for e1 in range(lo, hi + 1):
+        efactor = exp_linear_form(n_series.varspecs, {f: e1, g: -e1}, tcap)
+        for ncell, vec in n_series.terms.items():
+            for ycell, c in efactor.terms.items():
+                cell = [a + b for a, b in zip(ncell, ycell)]
+                cell[x1i] = e1
+                cell[x2i] = ncell[x2i] - e1
+                cell = tuple(cell)
+                if out.tdeg(cell) <= out.tcap:
+                    out.terms[cell] = (out.terms.get(cell, FockVector())
+                                       + vec.scale(c))
+    return out._prune()
+
+
+@pytest.mark.parametrize("v", [mono(1), mono(2, 1) + mono(1, 1, 1).scale(
+    F(1, 3)) + vacuum()], ids=["h", "inhomogeneous"])
+@pytest.mark.parametrize("ydeg", [1, 2])
+def test_delta_product_budget_matches_unbudgeted_product(v, ydeg):
+    w = 2
+    varspecs = _genfun_space(w, ydeg)
+    for outer, a_form, b_var, (f, g) in _RHS_TERMS:
+        n_series = slot_pair_apply(varspecs, a_form, {b_var: 1}, "x2",
+                                   (-2 * w, 2 * w), v, ydeg + 1)
+        # tcap below, at and above the n_series cap
+        for tcap in (ydeg, ydeg + 1, ydeg + 2):
+            got = _mul_delta_pinned(n_series, f, g, "x1", "x2", (-w, w),
+                                    tcap)
+            want = _unbudgeted_delta_product(n_series, f, g, "x1", "x2",
+                                             (-w, w), tcap)
+            assert got.terms and got.terms == want.terms, (outer, tcap)
+            assert got.x_ival == want.x_ival
+            assert got.tcap == want.tcap
+
+
+def _slot_pair_reference(varspecs, a_form, b_form, xname, window, v, tcap):
+    # the defining sum over j: one exponential per ordered pair (j, n - j)
+    xi = varspecs.index(next(s for s in varspecs if s.name == xname))
+    terms = {}
+    for e in range(window[0], window[1] + 1):
+        n = -e
+        for j in range(min(0, n) - v.max_weight(),
+                       max(0, n) + v.max_weight() + 1):
+            k = n - j
+            vec = ordered_pair_apply(j, k, v) if j and k else FockVector()
+            if not vec:
+                continue
+            form = {}
+            for name, c in a_form.items():
+                form[name] = form.get(name, 0) - j * c
+            for name, c in b_form.items():
+                form[name] = form.get(name, 0) - k * c
+            for ycell, c in exp_linear_form(varspecs, form, tcap).terms.items():
+                cell = ycell[:xi] + (e,) + ycell[xi + 1:]
+                terms[cell] = terms.get(cell, FockVector()) + vec.scale(c)
+    return {cell: vec for cell, vec in terms.items() if vec}
+
+
+@pytest.mark.parametrize("a_form, b_form", [
+    ({"y1": 1}, {"y2": 1}),
+    ({"y1": -1, "y2": 1, "y3": 1}, {"y4": 1}),
+    ({"y1": 2, "y2": -1}, {"y1": 1, "y3": -3}),   # overlapping supports
+])
+def test_slot_pair_tables_match_defining_sum(a_form, b_form):
+    varspecs = _genfun_space(3, 3)
+    for v in (mono(1), mono(1, 1, 1), mono(3, 1).scale(F(2, 3)) + mono(2)
+              + vacuum().scale(F(-1, 2))):
+        got = slot_pair_apply(varspecs, a_form, b_form, "x2", (-3, 3), v, 3)
+        want = _slot_pair_reference(varspecs, a_form, b_form, "x2", (-3, 3),
+                                    v, 3)
+        assert got.terms and got.terms == want
+        assert all(type(c) is F for vec in got.terms.values()
+                   for c in vec.terms.values())
+
+
+def test_pair_weights_are_exact_ints():
+    for alpha, den, weights in _pair_weights((2, -1, 0, 0), (1, 0, -3, 0), 4):
+        assert alpha[3] == 0 and sum(alpha) <= 4
+        assert den == factorial(alpha[0]) * factorial(alpha[1]) * factorial(
+            alpha[2])
+        for p, q, wt in weights:
+            assert p + q == sum(alpha) and type(wt) is int and wt
 
 
 def _certified(rep):
