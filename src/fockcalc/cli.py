@@ -5,8 +5,9 @@ document with a top-level ``"schema": 1`` field.  All numbers are exact
 rational strings.  Identical configuration produces byte-identical JSON.
 
 Exit codes: 0 when every checked cell passes, 1 on any identity
-violation or uncertified cell, 2 on usage errors.  Any other exception,
-such as a ``KeyError``, is a bug and propagates.
+violation or uncertified cell, 2 on usage errors (``UsageError``: a
+precondition the code names itself).  Any other exception, such as a
+``KeyError`` or a plain ``ValueError``, is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .exact import (bernoulli, chi_s, graded_dimension, rat_str,
+from .exact import (UsageError, bernoulli, chi_s, graded_dimension, rat_str,
                     zeta_nonpositive)
 from .fock import FockVector, basis, vacuum
 from .quadratic import (FitError, WindowError, verify_diff_op_projection,
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
         # block, or a fit with no exact solution: a result, not misuse
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except UsageError as exc:
         # a named precondition; any other exception is a bug and raises
         print(f"error: {exc}", file=sys.stderr)
         return 2

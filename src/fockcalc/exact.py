@@ -24,7 +24,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class SeriesError(ValueError):
+class UsageError(ValueError):
+    """A precondition that the code names itself failed: a bad argument,
+    not a wrong result.  The command line exits 2 on it."""
+
+
+class SeriesError(UsageError):
     """Invalid series operation (bad precondition or uncertified read)."""
 
 
@@ -281,7 +286,7 @@ def bernoulli(k: int) -> Fraction:
     ``check_geometric_bernoulli``).
     """
     if k < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+        raise UsageError("Bernoulli index must be >= 0")
     while len(_BERNOULLI_CACHE) <= k:
         m = len(_BERNOULLI_CACHE)
         acc = ZERO
@@ -309,7 +314,7 @@ def zeta_nonpositive(n: int) -> Fraction:
     -B_1 - 1 = -1/2.
     """
     if n < 0:
-        raise ValueError("argument must be >= 0 (value requested is zeta(-n))")
+        raise UsageError("argument must be >= 0 (value requested is zeta(-n))")
     if n == 0:
         return -bernoulli(1) - 1
     return -bernoulli(n + 1) / (n + 1)
@@ -325,7 +330,7 @@ def check_geometric_bernoulli(order: int):
     from .report import VerificationReport
 
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise UsageError("order must be >= 1")
     rep = VerificationReport(
         identity="geometric-bernoulli",
         parameters={"order": order},
@@ -349,7 +354,7 @@ def graded_dimension(max_n: int) -> PowerSeries:
     dimension of the weight-n subspace of the Fock space.
     """
     if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+        raise UsageError("max_n must be >= 0")
     result = PowerSeries.one(max_n)
     for n in range(1, max_n + 1):
         geometric = PowerSeries(

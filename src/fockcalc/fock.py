@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
 
-from .exact import ZERO, _add_into, rat_str
+from .exact import ZERO, UsageError, _add_into, rat_str
 
 # A monomial is a tuple of parts sorted descending; () is the vacuum.
 VACUUM = ()
@@ -28,7 +28,7 @@ def monomial(parts) -> tuple:
     """Canonical monomial from an iterable of positive integer parts."""
     parts = tuple(sorted(parts, reverse=True))
     if any(p < 1 for p in parts):
-        raise ValueError("parts must be positive integers")
+        raise UsageError("parts must be positive integers")
     return parts
 
 
@@ -188,9 +188,9 @@ def weight(v: FockVector) -> int:
     """Common weight of a homogeneous nonzero vector."""
     weights = {sum(mon) for mon in v.terms}
     if not weights:
-        raise ValueError("the zero vector has no weight")
+        raise UsageError("the zero vector has no weight")
     if len(weights) > 1:
-        raise ValueError(f"vector is not weight-homogeneous: weights {sorted(weights)}")
+        raise UsageError(f"vector is not weight-homogeneous: weights {sorted(weights)}")
     return weights.pop()
 
 
@@ -230,7 +230,7 @@ def weight_index(w: int) -> MappingProxyType:
 def basis(max_weight: int) -> list:
     """All basis monomials of weight <= max_weight, by weight then lex."""
     if max_weight < 0:
-        raise ValueError("max_weight must be >= 0")
+        raise UsageError("max_weight must be >= 0")
     out = []
     for w in range(max_weight + 1):
         out.extend(weight_basis(w))
@@ -299,7 +299,7 @@ def diff_op_apply(r: int, n: int, p: LaurentPolyVector) -> LaurentPolyVector:
     On t^m this gives (-1)^{r+1} m^{r+1} (m+n)^r t^{m+n}.
     """
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise UsageError("r must be >= 0")
     out = p
     for _ in range(r):
         out = d_apply(out)

@@ -17,10 +17,13 @@ differential operators (-1)^{r+1} D^r (t^n D) D^r.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 
-from .exact import ZERO, _add_into, rat_str, zeta_nonpositive
+from .exact import ZERO, UsageError, _add_into, rat_str, zeta_nonpositive
 from .fock import (FockVector, LaurentPolyVector, _axpy, _insert_part,
                    _remove_part, _vec, diff_op_apply, fock_str, h_apply,
                    weight_basis, weight_index)
@@ -49,12 +52,10 @@ def ordered_pair_apply(j: int, k: int, v: FockVector) -> FockVector:
 @functools.lru_cache(maxsize=None)
 def _lpq_mon(p: int, q: int, n: int, mon: tuple) -> FockVector:
     """The sum over ordered pairs j + k = n of j^p k^q :h(j)h(k): applied
-    to one basis monomial, with int coefficients.
-
-    The h-actions, the weights and the multiplicities are all integers.
-    At p = q = r this is 2 L^(r)(n): doubling clears the 1/2 of the
-    family.  The term map is read-only, since every caller shares the
-    cached vector.
+    to one basis monomial, with int coefficients (h-actions, weights and
+    multiplicities are all integers).  At p = q = r this is 2 L^(r)(n),
+    the table T_r(n).  The term map is read-only, since every caller
+    shares the cached vector.
     """
     terms = {}
     # two creation modes: h(j)h(k) inserts the parts -j and -k
@@ -83,7 +84,7 @@ def Lr_apply(r: int, n: int, v: FockVector) -> FockVector:
     action 2 L^(r)(n) = ``_lpq_mon(r, r, n, .)`` of each monomial of v;
     every coefficient is a Fraction."""
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise UsageError("r must be >= 0")
     acc = {}
     for mon, c in v.terms.items():
         _axpy(acc, _lpq_mon(r, r, n, mon), c)
@@ -94,30 +95,34 @@ def L_apply(n: int, v: FockVector) -> FockVector:
     return Lr_apply(0, n, v)
 
 
+def _zeta_shift(r: int) -> Fraction:
+    """(-1)^r (1/2) zeta(-2r-1), the scalar that Lbar^(r)(0) adds."""
+    return (-1) ** r * zeta_nonpositive(2 * r + 1) / 2
+
+
 def Lbar_apply(r: int, n: int, v: FockVector) -> FockVector:
     """Regularized family: for n = 0 add (-1)^r (1/2) zeta(-2r-1) times v."""
     out = Lr_apply(r, n, v)
     if n == 0 and v:
-        shift = Fraction(1, 2) * zeta_nonpositive(2 * r + 1)
-        if r % 2:
-            shift = -shift
-        out = out + v.scale(shift)
+        out = out + v.scale(_zeta_shift(r))
     return out
 
 
-class OperatorSpec:
-    """A weight-graded operator given by its exact action on vectors."""
+def _bracket_mon(r: int, s: int, m: int, n: int, mon: tuple) -> dict:
+    """4 [L^(r)(m), L^(s)(n)] on one basis monomial, as int terms:
+    T_r(m) T_s(n) - T_s(n) T_r(m) with T_r(k) = ``_lpq_mon(r, r, k, .)``.
+    Scalar shifts cancel, so this is also the regularized bracket."""
+    terms = {}
+    for (a, j), (b, k), sign in (((r, m), (s, n), 1), ((s, n), (r, m), -1)):
+        for mid, c in _lpq_mon(b, b, k, mon).terms.items():
+            for out, d in _lpq_mon(a, a, j, mid).terms.items():
+                _add_into(terms, out, sign * c * d)
+    return terms
 
-    __slots__ = ("key", "name", "degree", "apply")
 
-    def __init__(self, key, name, degree, apply_fn):
-        self.key = key
-        self.name = name
-        self.degree = degree
-        self.apply = apply_fn
-
-    def __repr__(self):
-        return f"OperatorSpec({self.name})"
+# A weight-graded operator given by its exact action on vectors; the key
+# names its blocks in ``_MATRIX_CACHE``.
+OperatorSpec = namedtuple("OperatorSpec", "key name degree apply")
 
 
 def L_op(n: int) -> OperatorSpec:
@@ -142,6 +147,7 @@ def identity_op() -> OperatorSpec:
 # Graded matrices and certified commutators
 # ---------------------------------------------------------------------------
 
+@dataclass
 class GradedOperator:
     """Per-weight exact matrix blocks of a weight-graded operator.
 
@@ -150,17 +156,9 @@ class GradedOperator:
     exist for every weight in the certified domain.
     """
 
-    __slots__ = ("degree", "domain_bound", "cols")
-
-    def __init__(self, degree, domain_bound, cols):
-        self.degree = degree
-        self.domain_bound = domain_bound
-        self.cols = cols
-
-    def column(self, w: int, i: int) -> FockVector:
-        if w not in self.cols:
-            raise WindowError(f"weight {w} outside certified domain")
-        return self.cols[w][i]
+    degree: int
+    domain_bound: int
+    cols: dict
 
     def apply(self, v: FockVector) -> FockVector:
         acc = FockVector()
@@ -204,16 +202,11 @@ def commutator(a: GradedOperator, b: GradedOperator, max_weight: int) -> GradedO
     """
     cols = {}
     for w in range(max_weight + 1):
-        if w > a.domain_bound or w > b.domain_bound:
+        if (max(w, w - b.degree) > a.domain_bound
+                or max(w, w - a.degree) > b.domain_bound):
             continue
-        if w - b.degree > a.domain_bound or w - a.degree > b.domain_bound:
-            continue
-        images = []
-        for i in range(len(weight_basis(w))):
-            ab = a.apply(b.cols[w][i])
-            ba = b.apply(a.cols[w][i])
-            images.append(ab - ba)
-        cols[w] = tuple(images)
+        cols[w] = tuple(a.apply(bcol) - b.apply(acol)
+                        for acol, bcol in zip(a.cols[w], b.cols[w]))
     if not cols:
         raise WindowError("window too small to certify any commutator block")
     return GradedOperator(a.degree + b.degree, max(cols), cols)
@@ -223,49 +216,58 @@ def commutator(a: GradedOperator, b: GradedOperator, max_weight: int) -> GradedO
 # Bracket relation verifiers
 # ---------------------------------------------------------------------------
 
-def _verify_bracket(identity, m, n, max_weight, op_factory, apply_fn, central):
-    enlarged = max_weight + abs(m) + abs(n)
-    a = to_matrix(op_factory(m), enlarged)
-    b = to_matrix(op_factory(n), enlarged)
-    comm = commutator(a, b, max_weight)
+def _verify_bracket(identity, m, n, max_weight, shift, central):
+    """[L(m), L(n)] = (m-n) (L(m+n) + shift) + central on every basis
+    monomial of weight <= max_weight; the shift of the degree-0 operator
+    and the central term enter only at m + n = 0, and only on the right:
+    the shift cancels from the bracket, which is ``_bracket_mon`` / 4."""
+    scalar = (m - n) * shift + central if m + n == 0 else ZERO
     rep = VerificationReport(
         identity=identity,
         parameters={"m": m, "n": n, "max_weight": max_weight},
         data={"central_term": rat_str(central)},
     )
     for w in range(max_weight + 1):
-        for i, mon in enumerate(weight_basis(w)):
-            if w in comm.cols:
-                lhs = comm.column(w, i)
-            else:
-                rep.add_uncertified(list(mon))
-                continue
-            e = FockVector({mon: Fraction(1)})
-            rhs = apply_fn(m + n, e).scale(m - n)
-            if central and m + n == 0:
-                rhs = rhs + e.scale(central)
-            rep.add_cell(list(mon), fock_str(lhs), fock_str(rhs))
+        for mon in weight_basis(w):
+            lhs = FockVector({out: Fraction(c, 4) for out, c
+                              in _bracket_mon(0, 0, m, n, mon).items()})
+            acc = {mon: [2 * scalar.numerator, scalar.denominator]}
+            _axpy(acc, _lpq_mon(0, 0, m + n, mon), m - n)
+            rhs = _vec(acc, 2)
+            # equal vectors render to one string
+            text = fock_str(lhs)
+            rep.add_cell(list(mon), text,
+                         text if lhs == rhs else fock_str(rhs))
     return rep
 
 
 def verify_virasoro(m: int, n: int, max_weight: int) -> VerificationReport:
     """[L(m), L(n)] = (m-n) L(m+n) + (1/12)(m^3 - m) delta_{m+n,0}, exactly."""
     central = Fraction(m ** 3 - m, 12) if m + n == 0 else ZERO
-    return _verify_bracket("virasoro-bracket", m, n, max_weight,
-                           L_op, L_apply, central)
+    return _verify_bracket("virasoro-bracket", m, n, max_weight, ZERO, central)
 
 
 def verify_modified_virasoro(m: int, n: int, max_weight: int) -> VerificationReport:
     """[Lbar(m), Lbar(n)] = (m-n) Lbar(m+n) + (1/12) m^3 delta_{m+n,0}."""
     central = Fraction(m ** 3, 12) if m + n == 0 else ZERO
     return _verify_bracket("modified-virasoro-bracket", m, n, max_weight,
-                           lambda k: Lbar_op(0, k),
-                           lambda k, v: Lbar_apply(0, k, v), central)
+                           _zeta_shift(0), central)
 
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra helpers
 # ---------------------------------------------------------------------------
+
+def _primitive(row: list) -> tuple:
+    """A row of ints or Fractions scaled to coprime ints, its first
+    nonzero entry positive; the zero row stays zero."""
+    den = lcm(*(x.denominator for x in row))
+    row = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*row)
+    if g and next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row) if g else tuple(row)
+
 
 def solve_exact(rows, rhs, ncols):
     """Solve an overdetermined exact rational system A x = b.
@@ -274,33 +276,32 @@ def solve_exact(rows, rhs, ncols):
     system the particular solution with free variables set to zero is
     returned and unique is False.  Raises FitError when the system is
     inconsistent (no exact solution at all).
+
+    Rows are cleared to primitive int rows, repeats dropped, and
+    eliminated fraction-free (pivot * row - entry * pivot row).
     """
-    aug = [list(row) + [val] for row, val in zip(rows, rhs)]
+    aug = [row for row in dict.fromkeys(_primitive([*row, val])
+                                        for row, val in zip(rows, rhs))
+           if any(row)]
     pivots = []
-    row_at = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(row_at, len(aug)):
-            if aug[r][col]:
-                pivot = r
-                break
+        at = len(pivots)
+        pivot = next((i for i in range(at, len(aug)) if aug[i][col]), None)
         if pivot is None:
             continue
-        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        inv = 1 / aug[row_at][col]
-        aug[row_at] = [x * inv for x in aug[row_at]]
-        for r in range(len(aug)):
-            if r != row_at and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row_at])]
+        aug[at], aug[pivot] = aug[pivot], aug[at]
+        prow = aug[at]
+        pv = prow[col]
+        for i, row in enumerate(aug):
+            if i != at and (f := row[col]):
+                aug[i] = _primitive([pv * x - f * y
+                                     for x, y in zip(row, prow)])
         pivots.append(col)
-        row_at += 1
-    for r in range(row_at, len(aug)):
-        if aug[r][ncols]:
-            raise FitError("inconsistent system: nonzero residual")
+    if any(row[ncols] for row in aug[len(pivots):]):
+        raise FitError("inconsistent system: nonzero residual")
     sol = [ZERO] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
+    for row, col in zip(aug, pivots):
+        sol[col] = Fraction(row[ncols], row[col])
     return sol, len(pivots) == ncols
 
 
@@ -308,9 +309,8 @@ def interpolate_polynomial(points):
     """Exact coefficients (low to high) of the unique polynomial of degree
     < len(points) through the given (x, y) pairs."""
     npts = len(points)
-    rows = [[Fraction(x) ** k for k in range(npts)] for x, _ in points]
-    rhs = [Fraction(y) for _, y in points]
-    sol, unique = solve_exact(rows, rhs, npts)
+    rows = [[x ** k for k in range(npts)] for x, _ in points]
+    sol, unique = solve_exact(rows, [y for _, y in points], npts)
     assert unique  # distinct nodes: the Vandermonde system is regular
     return sol
 
@@ -319,6 +319,7 @@ def interpolate_polynomial(points):
 # Central decomposition and its consequences
 # ---------------------------------------------------------------------------
 
+@dataclass
 class CentralDecomposition:
     """[family(r)(m), family(s)(n)] = sum_j c_j family(j)(m+n) + scalar.
 
@@ -330,20 +331,15 @@ class CentralDecomposition:
     degenerate-but-consistent fit still certifies the span containment.
     """
 
-    __slots__ = ("r", "s", "m", "n", "regularized", "operator_part",
-                 "scalar_part", "residual", "unique")
-
-    def __init__(self, r, s, m, n, regularized, operator_part, scalar_part,
-                 residual, unique=True):
-        self.r = r
-        self.s = s
-        self.m = m
-        self.n = n
-        self.regularized = regularized
-        self.operator_part = operator_part
-        self.scalar_part = scalar_part
-        self.residual = residual
-        self.unique = unique
+    r: int
+    s: int
+    m: int
+    n: int
+    regularized: bool
+    operator_part: list
+    scalar_part: Fraction
+    residual: dict
+    unique: bool = True
 
     @property
     def ok(self):
@@ -364,46 +360,50 @@ def central_decompose(r: int, s: int, m: int, n: int, max_weight: int,
 
     Solved exactly over all basis images up to max_weight.  The fit either
     has an exactly zero residual or fails; nothing is approximated.
+
+    Each row is four times its equation: the commutator is
+    ``_bracket_mon``, and 4 fam^(j)(m+n) is 2 ``_lpq_mon(j, j, m+n, .)``
+    plus 4 times the zeta shift on the diagonal (regularized, m + n = 0).
     """
-    fam = Lbar_apply if regularized else Lr_apply
+    if min(r, s) < 0:
+        raise UsageError("r must be >= 0")
     jmax = r + s
     with_id = (m + n == 0)
-    ncols = jmax + 1 + (1 if with_id else 0)
+    ncols = jmax + 1 + with_id
+    shifts = [_zeta_shift(j) if regularized and with_id else 0
+              for j in range(jmax + 1)]
 
-    rows, rhs = [], []
-    images = {}
+    rows, rhs, images = [], [], {}
     for w in range(max_weight + 1):
         for mon in weight_basis(w):
-            e = FockVector({mon: Fraction(1)})
-            comm = fam(r, m, fam(s, n, e)) - fam(s, n, fam(r, m, e))
-            fams = [fam(j, m + n, e) for j in range(jmax + 1)]
-            images[mon] = (comm, fams, e)
-            support = set(comm.terms)
-            for f in fams:
-                support |= set(f.terms)
-            if with_id:
-                support.add(mon)
+            comm = _bracket_mon(r, s, m, n, mon)
+            fams = [_lpq_mon(j, j, m + n, mon) for j in range(jmax + 1)]
+            images[mon] = (comm, fams)
+            support = set(comm).union(*(f.terms for f in fams),
+                                      [mon] if with_id else ())
             for mu in sorted(support):
-                row = [f.terms.get(mu, ZERO) for f in fams]
+                diag = 4 * (mu == mon)
+                row = [2 * f.terms.get(mu, 0) + diag * sh
+                       for f, sh in zip(fams, shifts)]
                 if with_id:
-                    row.append(Fraction(1) if mu == mon else ZERO)
+                    row.append(diag)
                 rows.append(row)
-                rhs.append(comm.terms.get(mu, ZERO))
+                rhs.append(comm.get(mu, 0))
 
     sol, unique = solve_exact(rows, rhs, ncols)
     op_part = sol[:jmax + 1]
     scalar = sol[jmax + 1] if with_id else ZERO
 
+    # the defect of the fit on each monomial, as an independent check;
+    # the fit's identity part is the scalar plus the fitted zeta shifts
+    ident = scalar + sum(c * sh for c, sh in zip(op_part, shifts))
     residual = {}
-    for mon, (comm, fams, e) in images.items():
-        fit = FockVector()
+    for mon, (comm, fams) in images.items():
+        acc = {mon: [-4 * ident.numerator, ident.denominator]}
+        _axpy(acc, FockVector(comm), 1)
         for c, f in zip(op_part, fams):
-            if c:
-                fit = fit + f.scale(c)
-        if scalar:
-            fit = fit + e.scale(scalar)
-        diff = comm - fit
-        if diff:
+            _axpy(acc, f, -2 * c)
+        if diff := _vec(acc, 4):
             residual[mon] = diff
     return CentralDecomposition(r, s, m, n, regularized, op_part, scalar,
                                 residual, unique)
@@ -424,7 +424,7 @@ def verify_monomial_purity(r: int, s: int, m_max: int,
         parameters={"r": r, "s": s, "m_max": m_max, "max_weight": max_weight},
     )
     if m_max < degree_bound + 1:
-        raise ValueError(
+        raise UsageError(
             f"m_max={m_max} gives too few interpolation points for degree "
             f"bound {degree_bound}")
 
@@ -487,10 +487,9 @@ def verify_diff_op_projection(r: int, s: int, m: int, n: int,
 
     for p in range(-p_bound, p_bound + 1):
         tp = LaurentPolyVector.monomial(p)
-        lhs = LaurentPolyVector()
-        for j, c in enumerate(dec.operator_part):
-            if c:
-                lhs = lhs + diff_op_apply(j, m + n, tp).scale(c)
+        lhs = sum((diff_op_apply(j, m + n, tp).scale(c)
+                   for j, c in enumerate(dec.operator_part) if c),
+                  LaurentPolyVector())
         rhs = (diff_op_apply(r, m, diff_op_apply(s, n, tp))
                - diff_op_apply(s, n, diff_op_apply(r, m, tp)))
         rep.add_cell(f"t^{p}", repr(lhs), repr(rhs))

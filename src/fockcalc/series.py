@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from types import MappingProxyType
 
-from .exact import ZERO, _add_into, bernoulli
+from .exact import ZERO, UsageError, _add_into, bernoulli
 from .fock import FockVector, _axpy, _vec, fock_str, h_apply
 from .quadratic import _lpq_mon, ordered_pair_apply
 from .report import VerificationReport
@@ -64,7 +64,7 @@ def trunc_var(name: str, order: int | None = None) -> VarSpec:
 
 def window_var(name: str, lo: int, hi: int) -> VarSpec:
     if lo > hi:
-        raise ValueError("window lo must be <= hi")
+        raise UsageError("window lo must be <= hi")
     return VarSpec(name, "window", lo=lo, hi=hi)
 
 
@@ -82,7 +82,7 @@ NEG_POWERS_Y2 = ExpansionConvention("y2")
 def convention(name: str) -> ExpansionConvention:
     table = {"neg-powers-y1": NEG_POWERS_Y1, "neg-powers-y2": NEG_POWERS_Y2}
     if name not in table:
-        raise ValueError(f"unknown expansion convention {name!r}")
+        raise UsageError(f"unknown expansion convention {name!r}")
     return table[name]
 
 
@@ -118,7 +118,7 @@ class MultiSeries:
     """
 
     __slots__ = ("varspecs", "terms", "x_ival", "tcap", "neg_floor", "_pos",
-                 "_trunc")
+                 "_trunc", "_windows")
 
     def __init__(self, varspecs, terms=None, x_ival=None, tcap=None,
                  neg_floor=None):
@@ -126,6 +126,9 @@ class MultiSeries:
         self._pos = {v.name: i for i, v in enumerate(self.varspecs)}
         self._trunc = tuple(i for i, v in enumerate(self.varspecs)
                             if v.kind == "trunc")
+        # (name, position) of each window variable, for ``known``
+        self._windows = tuple((v.name, i) for i, v in enumerate(self.varspecs)
+                              if v.kind == "window")
         self.terms = terms if terms is not None else {}
         self.x_ival = dict(x_ival) if x_ival else {}
         for v in self.varspecs:
@@ -140,7 +143,7 @@ class MultiSeries:
         return self._pos[name]
 
     def window_names(self):
-        return tuple(v.name for v in self.varspecs if v.kind == "window")
+        return tuple(name for name, _ in self._windows)
 
     def tdeg(self, cell) -> int:
         return sum(cell[i] for i in self._trunc)
@@ -162,9 +165,9 @@ class MultiSeries:
                     return True    # known zero: true support is nonnegative
         if self.tcap is not None and self.tdeg(cell) > self.tcap:
             return False
-        for name in self.window_names():
+        for name, i in self._windows:
             lo, hi = self.x_ival[name]
-            e = cell[self._pos[name]]
+            e = cell[i]
             if lo is not None and e < lo:
                 return False
             if hi is not None and e > hi:
@@ -453,11 +456,11 @@ def _y_order(f: MultiSeries, yname: str, order: int | None,
     order if given, else the variable's own order, else f's tcap."""
     yspec = f.varspecs[f.pos(yname)]
     if yspec.kind != "trunc":
-        raise ValueError(f"{role} variable must be truncated-nonnegative")
+        raise UsageError(f"{role} variable must be truncated-nonnegative")
     jmax = order if order is not None else (
         yspec.order if yspec.order is not None else f.tcap)
     if jmax is None:
-        raise ValueError("no truncation order available for the y variable")
+        raise UsageError("no truncation order available for the y variable")
     return jmax
 
 
@@ -527,7 +530,7 @@ class LocalizedSeries:
 
     def __init__(self, pole: dict, order: int, body: MultiSeries):
         if order < 0:
-            raise ValueError("pole order must be >= 0")
+            raise UsageError("pole order must be >= 0")
         self.pole = {k: v for k, v in pole.items() if v}
         self.order = order
         self.body = body
@@ -563,7 +566,7 @@ class LocalizedSeries:
         body_b = other.body
         if other.pole != self.pole:
             if other.pole != {n: -c for n, c in self.pole.items()}:
-                raise ValueError(
+                raise UsageError(
                     "cannot add localized series with different poles")
             body_b = body_b.scale((-1) ** other.order)
         k = max(self.order, other.order)
@@ -594,15 +597,15 @@ class LocalizedSeries:
         dvar = conv.distinguished
         c_d = self.pole.get(dvar, 0)
         if not c_d:
-            raise ValueError(
+            raise UsageError(
                 f"distinguished variable {dvar} does not appear in the pole")
         body, k = self.body, self.order
         if k == 0:
             return body
         if body.tcap is None:
-            raise ValueError("pole expansion needs a truncated body")
+            raise UsageError("pole expansion needs a truncated body")
         if any(body.varspecs[body.pos(n)].kind != "trunc" for n in self.pole):
-            raise ValueError("pole must be a linear form in trunc variables")
+            raise UsageError("pole must be a linear form in trunc variables")
         di = body.pos(dvar)
         mu = {body.pos(n): c for n, c in self.pole.items() if n != dvar}
         complete = {n: (None, None) for n in body.window_names()}
@@ -684,7 +687,7 @@ def one_minus_exp_inverse(y1: str, y2: str, order: int,
     profile carries the Bernoulli data.
     """
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise UsageError("order must be >= 1")
     if varspecs is None:
         varspecs = (trunc_var(y1, order), trunc_var(y2, order))
     body = _poly_in_form(varspecs, {y1: 1, y2: -1},
@@ -820,7 +823,7 @@ def slot_pair_apply_series(a_form: dict, b_form: dict, xname: str,
     """Apply the colon pair in a fresh window variable to every
     coefficient of a vector-valued series."""
     if s.tcap is None:
-        raise ValueError("series must carry a truncation cap")
+        raise UsageError("series must carry a truncation cap")
     xi = s.pos(xname)
     lo, hi = window
     ival = dict(s.x_ival)
@@ -828,7 +831,7 @@ def slot_pair_apply_series(a_form: dict, b_form: dict, xname: str,
     out = MultiSeries(s.varspecs, {}, ival, s.tcap, s.neg_floor)
     for scell, vec in s.terms.items():
         if scell[xi] != 0:
-            raise ValueError(f"series already involves {xname}")
+            raise UsageError(f"series already involves {xname}")
         budget = s.tcap - s.tdeg(scell)
         part = slot_pair_apply(s.varspecs, a_form, b_form, xname, window, vec,
                                budget)
@@ -853,7 +856,7 @@ def plusplus_pair(y1: str, y2: str, xname: str, v: FockVector, window: tuple,
     """++h(e^{y1} x) h(e^{y2} x)++ v: the colon product minus the expanded
     scalar correction d/dy1 [1/(1 - e^{-y1+y2})] acting as identity."""
     if conv.distinguished not in (y1, y2):
-        raise ValueError("convention must distinguish one of the pair slots")
+        raise UsageError("convention must distinguish one of the pair slots")
     colon = normal_ordered_pair(y1, y2, xname, v, window, order)
     pole = one_minus_exp_inverse(y1, y2, order + 2, colon.varspecs).dy(y1)
     correction = pole.expand(conv, -(2 + order)).scale_vector(v)

@@ -413,8 +413,10 @@ def _check_box(rep: VerificationReport, windows: dict, top: int,
                     continue
                 lhs, rhs = cell(a0, a1, a2)
                 if lhs or rhs:
-                    rep.add_cell(f"x0^{a0} x1^{a1} x2^{a2}",
-                                 fock_str(lhs), fock_str(rhs))
+                    # equal vectors render to one string
+                    text = fock_str(lhs)
+                    rep.add_cell(f"x0^{a0} x1^{a1} x2^{a2}", text,
+                                 text if lhs == rhs else fock_str(rhs))
                 else:
                     rep.bulk_passed += 1
     return rep

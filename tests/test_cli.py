@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from fockcalc import cli
-from fockcalc.exact import SeriesError
+from fockcalc.exact import SeriesError, UsageError
 from fockcalc.quadratic import FitError, WindowError
 from fockcalc.series import UncertifiedError
 
@@ -164,18 +164,20 @@ def test_negative_window_is_usage_error(args):
 
 @pytest.mark.parametrize("exc, code", [
     (UncertifiedError("cell (9,) outside certified region"), 1),
-    (ValueError("bad argument"), 2),
+    (UsageError("bad argument"), 2),
     (WindowError("window too small to certify any commutator block"), 1),
     (FitError("inconsistent system: nonzero residual"), 1),
     (SeriesError("exponent 9 exceeds truncation order 4"), 2),
-    (ValueError("m_max=2 gives too few interpolation points"), 2),
+    (UsageError("m_max=2 gives too few interpolation points"), 2),
     (KeyError("no-such-state"), None),
+    (ValueError("stray value error inside a verifier"), None),
 ])
 def test_uncertified_exits_one_other_errors_two(monkeypatch, capsys, exc,
                                                 code):
     # an uncertified coefficient, a window too small to certify and a
-    # failed exact fit are verdicts (exit 1); a failed precondition or a
-    # bad argument is a usage error (exit 2); any other exception is a
+    # failed exact fit are verdicts (exit 1); a precondition the code
+    # names itself (UsageError, SeriesError among them) is a usage error
+    # (exit 2); any other exception, a plain ValueError included, is a
     # bug, which raises rather than passing for misuse (code None)
     def handler(args):
         raise exc
@@ -188,6 +190,21 @@ def test_uncertified_exits_one_other_errors_two(monkeypatch, capsys, exc,
         return
     assert cli.main(["zeta", "--max", "1"]) == code
     assert str(exc) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("verify-diffop", "--r", "-1", "--s", "0", "--m", "1", "--n", "1"),
+    ("verify-bloch-purity", "--r", "-1", "--s", "0"),
+    ("verify-bloch-purity", "--r", "0", "--s", "0", "--mmax", "2"),
+])
+def test_named_preconditions_exit_two(args):
+    # checked before any table is read: a negative index would otherwise
+    # reach the int tables as a float power
+    out = run_cli(*args)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

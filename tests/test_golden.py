@@ -39,6 +39,11 @@ GOLDEN = {
         "verify-virasoro --m 2 --n -2 --weight 4",
     "modified_m3_n-3_w4.json":
         "verify-modified --m 3 --n -3 --weight 4",
+    # m + n != 0: no central term, and (m-n) L(m+n) has a nonzero degree
+    "virasoro_m3_n1_w6.json":
+        "verify-virasoro --m 3 --n 1 --weight 6",
+    "modified_m-2_n3_w6.json":
+        "verify-modified --m -2 --n 3 --weight 6",
     "bloch_purity_r0_s1_w4.json":
         "verify-bloch-purity --r 0 --s 1 --weight 4",
     "bloch_purity_r1_s1_w4.json":

@@ -157,6 +157,18 @@ def test_taylor_on_negative_power():
     assert out.terms == {(0, -1): F(1), (1, -2): F(-1), (2, -3): F(1)}
 
 
+def test_known_reads_the_current_window():
+    # the window positions are fixed by the variables; the certified
+    # interval is read on every call
+    vs = (trunc_var("y", 2), window_var("x", -4, 4), window_var("x2", -6, 6))
+    s = MultiSeries(vs, tcap=2)
+    assert s.window_names() == ("x", "x2")
+    assert s.known((1, -4, 6)) and not s.known((1, -4, 7))
+    assert not s.known((1, 5, 0)) and not s.known((3, 0, 0))
+    s.x_ival["x2"] = (None, 0)
+    assert s.known((0, 0, -100)) and not s.known((0, 0, 1))
+
+
 def test_taylor_of_delta_matches_binomial_route():
     vs = (trunc_var("y", 2), window_var("x", -4, 4), window_var("x2", -6, 6))
     d = delta_series(vs, {"x": 1, "x2": -1}, (-4, 4))

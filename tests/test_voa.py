@@ -56,7 +56,7 @@ def test_omega_modes_are_the_quadratic_family():
             from fockcalc.fock import weight_basis
             for i, mon_ in enumerate(weight_basis(w)):
                 got = mode_apply(OMEGA, n + 1, FockVector({mon_: F(1)}))
-                assert got == op.column(w, i)
+                assert got == op.cols[w][i]
 
 
 def test_mode_weight_bookkeeping():
@@ -361,3 +361,19 @@ def test_compose_is_shared_by_every_w_of_a_pair(monkeypatch, capsys):
         g[99] = FockVector()
     with pytest.raises(TypeError):
         next(iter(g.values())).terms[(9,)] = F(1)
+
+
+def test_check_box_renders_both_sides_of_an_unequal_cell():
+    # a passing cell renders its vector once; a failing one renders both
+    from fockcalc.report import FAIL, PASS, VerificationReport
+
+    rep = VerificationReport(identity="box", parameters={})
+    box = {"x0": (0, 0), "x1": (0, 0), "x2": (0, 2)}
+    voa._check_box(rep, box, 3, lambda a0, a1, a2: (
+        [H, H, FockVector()][a2], [H, mono(2), FockVector()][a2]))
+    assert [(c.key, c.lhs, c.rhs, c.status) for c in rep.cells] == [
+        ("x0^0 x1^0 x2^0", "1*[1]", "1*[1]", PASS),
+        ("x0^0 x1^0 x2^1", "1*[1]", "1*[2]", FAIL),
+    ]
+    assert rep.bulk_passed == 1
+    assert not rep.passed
