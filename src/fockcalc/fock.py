@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .exact import ZERO, UsageError, _add_into, rat_str
@@ -136,14 +136,52 @@ def _vec(acc: dict, den: int = 1) -> FockVector:
                        for mon, (n, d) in acc.items() if n})
 
 
+def _den(v: FockVector) -> int:
+    """The lcm of v's coefficient denominators; 1 for the zero vector."""
+    return lcm(*(c.denominator for c in v.terms.values()))
+
+
+def _on_scale(v: FockVector, den: int) -> dict:
+    """den * v as an int term map.
+
+    The division is exact: a coefficient that is not a multiple of 1/den
+    raises, so no entry is ever floored onto the scale.
+    """
+    out = {}
+    for mon, c in v.terms.items():
+        n, r = divmod(c.numerator * den, c.denominator)
+        if r:
+            raise ValueError(f"coefficient {rat_str(c)} of {list(mon)} is "
+                             f"not a multiple of 1/{den}")
+        out[mon] = n
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _label(mon: tuple) -> str:
+    return "[" + ",".join(map(str, mon)) + "]"
+
+
 def fock_str(v: FockVector) -> str:
     """Canonical display string, e.g. ``1/2*[1,1] + 2*[3]``; "0" if zero."""
     if not v.terms:
         return "0"
+    return " + ".join(f"{rat_str(c)}*{_label(mon)}"
+                      for mon, c in sorted(v.terms.items()))
+
+
+def _int_str(terms: dict, den: int, memo: dict) -> str:
+    """``fock_str`` of the vector terms / den, for an int term map with no
+    zero entry.  memo maps a numerator to its rendered coefficient; it
+    belongs to this den, so one memo serves every vector on one scale."""
+    if not terms:
+        return "0"
     bits = []
-    for mon, c in sorted(v.terms.items()):
-        label = "[" + ",".join(str(p) for p in mon) + "]"
-        bits.append(f"{rat_str(c)}*{label}")
+    for mon, n in sorted(terms.items()):
+        c = memo.get(n)
+        if c is None:
+            c = memo[n] = rat_str(Fraction(n, den))
+        bits.append(f"{c}*{_label(mon)}")
     return " + ".join(bits)
 
 

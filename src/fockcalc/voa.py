@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from types import MappingProxyType
 
 from .exact import PowerSeries, _add_into
-from .fock import (FockVector, _axpy, _insert_part, _remove_part, _vec,
-                   fock_str, vacuum, weight_basis)
+from .fock import (FockVector, _axpy, _den, _insert_part, _int_str,
+                   _on_scale, _remove_part, _vec, fock_str, vacuum,
+                   weight_basis)
 from .quadratic import L_apply
 from .report import FAIL, PASS, VerificationReport
 from .series import MultiSeries, comb_int, window_var
@@ -163,6 +164,13 @@ def zhu_bracket_apply(u: FockVector, v: FockVector, order: int) -> MultiSeries:
 # Axiom suite
 # ---------------------------------------------------------------------------
 
+def _add_vector_cell(rep: VerificationReport, key: str, lhs: FockVector,
+                     rhs: FockVector) -> None:
+    """Add the cell lhs = rhs; equal vectors render to one string."""
+    text = fock_str(lhs)
+    rep.add_cell(key, text, text if lhs == rhs else fock_str(rhs))
+
+
 def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
     """Check the defining axioms exactly on all basis vectors.
 
@@ -186,8 +194,8 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
             got = mode_apply(one, n, vecs[m])
             want = vecs[m] if n == -1 else FockVector()
             if got or want:
-                rep.add_cell(f"vacuum-op n={n} w={list(m)}",
-                             fock_str(got), fock_str(want))
+                _add_vector_cell(rep, f"vacuum-op n={n} w={list(m)}",
+                                 got, want)
             else:
                 rep.bulk_passed += 1
 
@@ -199,8 +207,8 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
                 rep.add_cell(f"creation v={list(m)} n={n}", fock_str(got), "0")
             else:
                 rep.bulk_passed += 1
-        rep.add_cell(f"creation-constant v={list(m)}",
-                     fock_str(mode_apply(vecs[m], -1, one)), fock_str(vecs[m]))
+        _add_vector_cell(rep, f"creation-constant v={list(m)}",
+                         mode_apply(vecs[m], -1, one), vecs[m])
 
     # lower truncation: u_n v = 0 for n beyond the weight bound
     for mu in mons:
@@ -220,8 +228,8 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
 
     for m in mons:
         got = lw(0, vecs[m])
-        rep.add_cell(f"grading w={list(m)}", fock_str(got),
-                     fock_str(vecs[m].scale(sum(m))))
+        _add_vector_cell(rep, f"grading w={list(m)}", got,
+                         vecs[m].scale(sum(m)))
 
     for mm in range(-mode_window, mode_window + 1):
         for nn in range(-mode_window, mode_window + 1):
@@ -233,8 +241,8 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
                     rhs = rhs + w.scale(
                         Fraction(mm ** 3 - mm, 12) * VOAConstants.rank)
                 if lhs or rhs:
-                    rep.add_cell(f"virasoro m={mm} n={nn} w={list(m)}",
-                                 fock_str(lhs), fock_str(rhs))
+                    _add_vector_cell(
+                        rep, f"virasoro m={mm} n={nn} w={list(m)}", lhs, rhs)
                 else:
                     rep.bulk_passed += 1
 
@@ -244,8 +252,8 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
             got = lw(n, vecs[m])
             want = L_apply(n, vecs[m])
             if got or want:
-                rep.add_cell(f"omega-mode n={n} w={list(m)}",
-                             fock_str(got), fock_str(want))
+                _add_vector_cell(rep, f"omega-mode n={n} w={list(m)}",
+                                 got, want)
             else:
                 rep.bulk_passed += 1
 
@@ -257,9 +265,9 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
                 got = mode_apply(lv, n, vecs[mw])
                 want = _mode_mon(m, n - 1, mw).scale(-n)
                 if got or want:
-                    rep.add_cell(
-                        f"derivative v={list(m)} n={n} w={list(mw)}",
-                        fock_str(got), fock_str(want))
+                    _add_vector_cell(
+                        rep, f"derivative v={list(m)} n={n} w={list(mw)}",
+                        got, want)
                 else:
                     rep.bulk_passed += 1
     return rep
@@ -335,40 +343,68 @@ def weak_comm_check(u: FockVector, v: FockVector, w: FockVector,
 # The classical Jacobi identity
 # ---------------------------------------------------------------------------
 
-class _ProductTables:
-    """The products of the two product terms of one (u, v, w) check,
-    each computed the first time a cell asks for it and freed with the
-    check.
+def _iaxpy(acc: dict, terms, c: int) -> None:
+    """acc += c * terms, in place, for int term maps; zero sums are kept."""
+    for mon, x in terms.items():
+        acc[mon] = acc.get(mon, 0) + c * x
 
-    coef(s, e, t) is the coefficient of x^e in the field of s applied to
-    t: Y for the classical identity, X for the dilated one.  By weight,
-    coef(u, e, w) vanishes for e < -u_reach, and coef(v, e, w) for
-    e < -v_reach.
+
+def _nonzero(acc: dict) -> dict:
+    """acc without its zero entries; acc itself when it has none."""
+    if 0 in acc.values():
+        return {mon: x for mon, x in acc.items() if x}
+    return acc
+
+
+def _field_coef(field: list, e: int, t: dict) -> dict:
+    """Coefficient of x^e in sum_{(a, s) in field} x^a Y(s, x) t, for int
+    term maps s and t: the mode a - e - 1 of each s.  With field [(0, s)]
+    this is Y(s, x) t; with the weight components of s it is X(s, x) t."""
+    acc = {}
+    for a, s in field:
+        n = a - e - 1
+        for smon, sc in s.items():
+            for tmon, tc in t.items():
+                table = _mode_mon(smon, n, tmon).terms
+                if table:
+                    _iaxpy(acc, table, sc * tc)
+    return _nonzero(acc)
+
+
+def _weight_field(v: FockVector, den: int) -> list:
+    """The weight components (a, den * comp) of v, as int term maps."""
+    return [(a, _on_scale(comp, den)) for a, comp in v.weight_components()]
+
+
+class _ProductTables:
+    """The products of the two product terms of one (u, v, w) check, as
+    int term maps on the check's scale, each computed the first time a
+    cell asks for it and freed with the check.
+
+    The fields of u and v (see ``_field_coef``) and the state w are int
+    term maps.  uw(e) is the coefficient of x^e in the field of u applied
+    to w, and u_vw(e, e_in) that of the field of u applied to vw(e_in);
+    likewise vw and v_uw.  By weight, uw(e) vanishes for e < -u_reach,
+    and vw(e) for e < -v_reach.
     """
 
-    def __init__(self, coef, u, v, w, u_reach, v_reach):
+    def __init__(self, u_field, v_field, w, u_reach, v_reach):
         self.u_reach, self.v_reach = u_reach, v_reach
         # the fills capture the inner tables, not self: a reference cycle
         # would keep every table alive past its check until a gc pass
-        uw = self.uw = functools.cache(lambda e: coef(u, e, w))
-        vw = self.vw = functools.cache(lambda e: coef(v, e, w))
-        self.v_uw = functools.cache(lambda e, e_in: coef(v, e, uw(e_in)))
-        self.u_vw = functools.cache(lambda e, e_in: coef(u, e, vw(e_in)))
+        uw = self.uw = functools.cache(lambda e: _field_coef(u_field, e, w))
+        vw = self.vw = functools.cache(lambda e: _field_coef(v_field, e, w))
+        self.v_uw = functools.cache(
+            lambda e, e_in: _field_coef(v_field, e, uw(e_in)))
+        self.u_vw = functools.cache(
+            lambda e, e_in: _field_coef(u_field, e, vw(e_in)))
 
 
-def _x_tables(u, v, w, ww) -> _ProductTables:
-    return _ProductTables(lambda s, e, t: X_apply(s, t, -e), u, v, w, ww, ww)
-
-
-def _gw_table(g_by_q: dict, w: FockVector):
-    """gw(q, c): the coefficient of x^c in X(g_q, x)w, filled lazily."""
-    return functools.cache(lambda q, c: X_apply(g_by_q[q], w, -c))
-
-
-def _lhs_cell(tab: _ProductTables, a0, a1, a2) -> FockVector:
+def _lhs_cell(tab: _ProductTables, a0, a1, a2) -> dict:
     """Coefficient of x0^a0 x1^a1 x2^a2 in the two product terms applied
     to w, delta arguments expanded in nonnegative powers of the inner
-    variable: sum_k C(n,k) (-1)^k [u.(v.w) - (-1)^n v.(u.w)], n = -a0-1."""
+    variable: sum_k C(n,k) (-1)^k [u.(v.w) - (-1)^n v.(u.w)], n = -a0-1.
+    An int term map on the tables' scale, zero sums kept."""
     n = -a0 - 1
     acc = {}
     for sign, e_in, e_out, reach, inner, outer in (
@@ -380,43 +416,51 @@ def _lhs_cell(tab: _ProductTables, a0, a1, a2) -> FockVector:
         for k in range(kmax + 1):
             c = comb_int(n, k) * (-1) ** k * sign
             if c and inner(e_in - k):
-                _axpy(acc, outer(e_out - n + k, e_in - k), c)
-    return _vec(acc)
+                _iaxpy(acc, outer(e_out - n + k, e_in - k), c)
+    return acc
 
 
-def _jacobi_rhs_cell(uv, iterate, top, a0, a1, a2) -> FockVector:
-    """Coefficient of x0^a0 x1^a1 x2^a2 in the iterate term, from the
+def _jacobi_rhs_cell(uv, iterate, top, a0, a1, a2) -> dict:
+    """Coefficient of x0^a0 x1^a1 x2^a2 in the iterate term, from the int
     tables uv(j) = u_j v and iterate(j, m) = (u_j v)_m w; u_j v = 0 for
-    j >= top."""
+    j >= top.  Zero sums are kept."""
     acc = {}
     for j in range(-a0 - 1, top):
         k = a0 + j + 1
         c = comb_int(a0 + a1 + j + 1, k) * (-1) ** k
         if c and uv(j):
-            _axpy(acc, iterate(j, -(a0 + a1 + a2 + j + 3)), c)
-    return _vec(acc)
+            _iaxpy(acc, iterate(j, -(a0 + a1 + a2 + j + 3)), c)
+    return acc
 
 
-def _check_box(rep: VerificationReport, windows: dict, top: int,
+def _check_box(rep: VerificationReport, windows: dict, top: int, den: int,
                cell) -> VerificationReport:
     """Compare cell(a0, a1, a2) -> (lhs, rhs) on every cell of the box.
-    Cells with top + a0 + a1 + a2 + 1 < 0 vanish on both sides by weight
-    and count as bulk passes, as do cells where both sides are zero."""
+
+    Both sides are int term maps on the scale den: the cell's vectors are
+    lhs / den and rhs / den.  They are compared as ints with the zero
+    entries dropped, and rendered from the ints, one memo of coefficient
+    strings per box.  Cells with top + a0 + a1 + a2 + 1 < 0 vanish on
+    both sides by weight and count as bulk passes, as do cells where both
+    sides are zero.
+    """
     lo0, hi0 = windows["x0"]
     lo1, hi1 = windows["x1"]
     lo2, hi2 = windows["x2"]
+    memo = {}
     for a0 in range(lo0, hi0 + 1):
         for a1 in range(lo1, hi1 + 1):
             for a2 in range(lo2, hi2 + 1):
                 if top + a0 + a1 + a2 + 1 < 0:
                     rep.bulk_passed += 1
                     continue
-                lhs, rhs = cell(a0, a1, a2)
+                lhs, rhs = map(_nonzero, cell(a0, a1, a2))
                 if lhs or rhs:
                     # equal vectors render to one string
-                    text = fock_str(lhs)
+                    text = _int_str(lhs, den, memo)
                     rep.add_cell(f"x0^{a0} x1^{a1} x2^{a2}", text,
-                                 text if lhs == rhs else fock_str(rhs))
+                                 text if lhs == rhs
+                                 else _int_str(rhs, den, memo))
                 else:
                     rep.bulk_passed += 1
     return rep
@@ -430,20 +474,27 @@ def jacobi_check(u: FockVector, v: FockVector, w: FockVector,
     Every coefficient of every term applied to w is a finite exact mode
     sum, so each cell is compared exactly (binomials expanded in
     nonnegative powers of the second variable throughout).  Each cell is
-    a binomial-weighted sum of entries of per-check mode tables.
+    a binomial-weighted sum of entries of per-check mode tables.  The
+    modes are integral, so on the scale D = den(u) den(v) den(w) (den the
+    lcm of a vector's denominators) every table and cell is an int term
+    map.
     """
     rep = VerificationReport(
         identity="jacobi-identity",
         parameters={"windows": {k: list(vv) for k, vv in sorted(windows.items())}},
     )
     wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
-    tab = _ProductTables(lambda s, e, t: mode_apply(s, -e - 1, t),
-                         u, v, w, wu + ww, wv + ww)
-    uv = functools.cache(lambda j: mode_apply(u, j, v))
-    iterate = functools.cache(lambda j, m: mode_apply(uv(j), m, w))
-    return _check_box(rep, windows, wu + wv + ww, lambda a0, a1, a2: (
-        _lhs_cell(tab, a0, a1, a2),
-        _jacobi_rhs_cell(uv, iterate, wu + wv, a0, a1, a2)))
+    du, dv, dw = _den(u), _den(v), _den(w)
+    ui, vi, wi = _on_scale(u, du), _on_scale(v, dv), _on_scale(w, dw)
+    u_field = [(0, ui)]
+    tab = _ProductTables(u_field, [(0, vi)], wi, wu + ww, wv + ww)
+    uv = functools.cache(lambda j: _field_coef(u_field, -j - 1, vi))
+    iterate = functools.cache(
+        lambda j, m: _field_coef([(0, uv(j))], -m - 1, wi))
+    return _check_box(rep, windows, wu + wv + ww, du * dv * dw,
+                      lambda a0, a1, a2: (
+                          _lhs_cell(tab, a0, a1, a2),
+                          _jacobi_rhs_cell(uv, iterate, wu + wv, a0, a1, a2)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,20 +560,33 @@ def _compose_zhu_frozen(u_terms: frozenset, v_terms: frozenset,
                              for q, acc in out.items() if (vec := _vec(acc))})
 
 
+def _fraction_vec(terms: dict, den: int) -> FockVector:
+    """The Fraction-valued vector terms / den of an int term map."""
+    return FockVector({mon: Fraction(x, den) for mon, x in terms.items() if x})
+
+
 def _dilated_lhs_cell(u, v, w, ww, a0, a1, a2) -> FockVector:
     """Coefficient of x0^a0 x1^a1 x2^a2 in the two product terms built on
     the weight-shifted operators, delta arguments simplified through the
     log relations (nonnegative powers of the inner variable)."""
-    return _lhs_cell(_x_tables(u, v, w, ww), a0, a1, a2)
+    du, dv, dw = _den(u), _den(v), _den(w)
+    tab = _ProductTables(_weight_field(u, du), _weight_field(v, dv),
+                         _on_scale(w, dw), ww, ww)
+    return _fraction_vec(_lhs_cell(tab, a0, a1, a2), du * dv * dw)
 
 
-def _dilated_rhs_cell(g_by_q: dict, q_min: int, w, a0, a1, a2,
-                      gw=None) -> FockVector:
+def _gw_table(g_by_q: dict, den: int, w: dict):
+    """gw(q, c): the coefficient of x^c in X(den g_q, x)w for an int term
+    map w, as an int term map, filled lazily; each g_q is put on the
+    scale den the first time a cell asks for it."""
+    field = functools.cache(lambda q: _weight_field(g_by_q[q], den))
+    return functools.cache(lambda q, c: _field_coef(field(q), c, w))
+
+
+def _dilated_rhs_ints(g_by_q: dict, q_min: int, gw, a0, a1, a2) -> dict:
     """Coefficient of x0^a0 x1^a1 x2^a2 in the iterate term built on the
-    ratio-expanded change-of-variables state; gw is a ``_gw_table`` of
-    g_by_q on w, built fresh if not given."""
-    if gw is None:
-        gw = _gw_table(g_by_q, w)
+    ratio-expanded change-of-variables state, from a ``_gw_table``; an
+    int term map on its scale, zero sums kept."""
     n = a0 + a1
     c2 = a0 + a1 + a2 + 1
     acc = {}
@@ -532,8 +596,18 @@ def _dilated_rhs_cell(g_by_q: dict, q_min: int, w, a0, a1, a2,
     for k in range(kmax + 1):
         c = comb_int(n, k) * (-1) ** k
         if c and a0 - k in g_by_q:
-            _axpy(acc, gw(a0 - k, c2), c)
-    return _vec(acc)
+            _iaxpy(acc, gw(a0 - k, c2), c)
+    return acc
+
+
+def _dilated_rhs_cell(g_by_q: dict, q_min: int, w, a0, a1, a2) -> FockVector:
+    """``_dilated_rhs_ints`` as a Fraction-valued vector, on the scale
+    den_g den(w), den_g the lcm of the denominators of the g_q."""
+    den_g = lcm(*map(_den, g_by_q.values()))
+    dw = _den(w)
+    gw = _gw_table(g_by_q, den_g, _on_scale(w, dw))
+    return _fraction_vec(_dilated_rhs_ints(g_by_q, q_min, gw, a0, a1, a2),
+                         den_g * dw)
 
 
 def dilated_jacobi_check(u: FockVector, v: FockVector, w: FockVector,
@@ -545,7 +619,13 @@ def dilated_jacobi_check(u: FockVector, v: FockVector, w: FockVector,
     The ratio expansion is carried to whatever order the requested x0
     window needs (ydeg acts as a floor for the composition order), so
     every cell in the box is exact.  Each cell is a binomial-weighted
-    sum of entries of per-check X-mode tables.
+    sum of entries of per-check X-mode tables, as int term maps on the
+    scale D = lcm(den(u) den(v), den_g) den(w): the product terms are
+    multiples of 1/(den(u) den(v) den(w)), and the iterate term of
+    1/(den_g den(w)), den_g the lcm over the g_q.  (For the true g_q,
+    den_g divides den(u) den(v): g(r) = Y((1 - r)^{-L(0)} u, r/(1 - r))v
+    has int binomial weights.  The lcm keeps the scale right without
+    relying on that.)
     """
     rep = VerificationReport(
         identity="dilated-jacobi-identity",
@@ -556,8 +636,15 @@ def dilated_jacobi_check(u: FockVector, v: FockVector, w: FockVector,
     r_order = max(ydeg, windows["x0"][1] + wu + wv + 1)
     g_by_q = _compose_zhu_with_log(u, v, r_order)
     q_min = min(g_by_q, default=0)
-    tab = _x_tables(u, v, w, ww)
-    gw = _gw_table(g_by_q, w)
-    return _check_box(rep, windows, wu + wv + ww, lambda a0, a1, a2: (
-        _lhs_cell(tab, a0, a1, a2),
-        _dilated_rhs_cell(g_by_q, q_min, w, a0, a1, a2, gw)))
+    dv, dw = _den(v), _den(w)
+    d_uv = lcm(_den(u) * dv, *map(_den, g_by_q.values()))
+    wi = _on_scale(w, dw)
+    # u carries the factor d_uv / (den(u) den(v)) that lifts the product
+    # terms onto the scale D
+    tab = _ProductTables(_weight_field(u, d_uv // dv), _weight_field(v, dv),
+                         wi, ww, ww)
+    gw = _gw_table(g_by_q, d_uv, wi)
+    return _check_box(rep, windows, wu + wv + ww, d_uv * dw,
+                      lambda a0, a1, a2: (
+                          _lhs_cell(tab, a0, a1, a2),
+                          _dilated_rhs_ints(g_by_q, q_min, gw, a0, a1, a2)))

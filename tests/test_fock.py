@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockcalc.exact import graded_dimension
 from fockcalc.fock import (FockVector, LaurentPolyVector, basis, d_apply,
@@ -151,3 +152,44 @@ def test_diff_op_composition_law():
     for m, c in p.terms.items():
         expect = c * m * (m + 1) * F(1)
         assert twice.terms.get(m + 3, F(0)) == expect
+
+
+# ---------------------------------------------------------------------------
+# algebra laws of FockVector
+# ---------------------------------------------------------------------------
+
+_scalars = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_fock_vectors = st.dictionaries(st.sampled_from(basis(3)), _scalars,
+                                max_size=5).map(
+    lambda terms: FockVector({m: c for m, c in terms.items() if c}))
+
+
+def _no_stored_zero(v):
+    return all(type(c) is F and c for c in v.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fock_vectors, _fock_vectors, _fock_vectors)
+def test_vector_addition_is_associative_and_commutative(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert _no_stored_zero(a + b) and _no_stored_zero((a + b) + c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fock_vectors, _fock_vectors, _scalars, _scalars)
+def test_scale_is_a_module_action(a, b, s, t):
+    assert (a + b).scale(s) == a.scale(s) + b.scale(s)
+    assert a.scale(s + t) == a.scale(s) + a.scale(t)
+    assert a.scale(s * t) == a.scale(t).scale(s)
+    assert a.scale(1) == a
+    for v in (a.scale(s), (a + b).scale(s), a.scale(s) + a.scale(t)):
+        assert _no_stored_zero(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fock_vectors)
+def test_vector_minus_itself_is_zero(v):
+    diff = v - v
+    assert not diff and diff.terms == {}
+    assert v + (-v) == diff == v.scale(0)

@@ -143,6 +143,47 @@ def test_product_certifies_only_cells_of_the_true_product(a, b):
             assert prod.coeff((e,)) == truth.get(e, 0), e
 
 
+def _certified_agree(x, y):
+    """x and y agree on every cell both certify; the number compared."""
+    compared = 0
+    for e in range(-30, 31):
+        if x.known((e,)) and y.known((e,)):
+            assert x.coeff((e,)) == y.coeff((e,)), e
+            compared += 1
+    return compared
+
+
+def _unless_uncertified(op):
+    try:
+        return op()
+    except UncertifiedError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_truncated_series(), _truncated_series(), _truncated_series())
+def test_product_is_associative_on_certified_cells(a, b, c):
+    (_, ser_a), (_, ser_b), (_, ser_c) = a, b, c
+    left = _unless_uncertified(lambda: ser_a.mul(ser_b).mul(ser_c))
+    right = _unless_uncertified(lambda: ser_a.mul(ser_b.mul(ser_c)))
+    if left is None or right is None:
+        event("uncertifiable")
+        return
+    event("compared" if _certified_agree(left, right) else "nothing shared")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_truncated_series(), _truncated_series(), _truncated_series())
+def test_product_distributes_over_add_on_certified_cells(a, b, c):
+    (_, ser_a), (_, ser_b), (_, ser_c) = a, b, c
+    left = _unless_uncertified(lambda: ser_a.mul(ser_b.add(ser_c)))
+    right = _unless_uncertified(lambda: ser_a.mul(ser_b).add(ser_a.mul(ser_c)))
+    if left is None or right is None:
+        event("uncertifiable")
+        return
+    event("compared" if _certified_agree(left, right) else "nothing shared")
+
+
 def test_taylor_on_polynomial():
     vs = (trunc_var("y", 3), window_var("x", -5, 5))
     f = monomial_series(vs, {"x": 2})

@@ -363,17 +363,42 @@ def test_compose_is_shared_by_every_w_of_a_pair(monkeypatch, capsys):
         next(iter(g.values())).terms[(9,)] = F(1)
 
 
-def test_check_box_renders_both_sides_of_an_unequal_cell():
-    # a passing cell renders its vector once; a failing one renders both
+def test_check_box_renders_both_sides_of_an_unequal_cell(monkeypatch):
+    # a passing cell renders its vector once; a failing one renders both.
+    # The sides are int term maps on the scale 2, zero entries dropped.
     from fockcalc.report import FAIL, PASS, VerificationReport
 
+    rendered = []
+    real = voa._int_str
+    monkeypatch.setattr(voa, "_int_str", lambda terms, den, memo: (
+        rendered.append(dict(terms)) or real(terms, den, memo)))
     rep = VerificationReport(identity="box", parameters={})
     box = {"x0": (0, 0), "x1": (0, 0), "x2": (0, 2)}
-    voa._check_box(rep, box, 3, lambda a0, a1, a2: (
-        [H, H, FockVector()][a2], [H, mono(2), FockVector()][a2]))
+    h, two = {(1,): 2}, {(2,): 2}
+    voa._check_box(rep, box, 3, 2, lambda a0, a1, a2: (
+        [dict(h), dict(h), {(1,): 0}][a2],
+        [{**h, (3,): 0}, {**two, (3,): 0}, {}][a2]))
     assert [(c.key, c.lhs, c.rhs, c.status) for c in rep.cells] == [
         ("x0^0 x1^0 x2^0", "1*[1]", "1*[1]", PASS),
         ("x0^0 x1^0 x2^1", "1*[1]", "1*[2]", FAIL),
     ]
+    assert rendered == [h, h, two]
     assert rep.bulk_passed == 1
+    assert not rep.passed
+
+
+def test_failing_axiom_cell_renders_both_sides(monkeypatch):
+    # a passing axiom cell renders its vector once; a failing one must
+    # still show both sides
+    from fockcalc.report import FAIL, PASS
+
+    real = voa.L_apply
+    monkeypatch.setattr(voa, "L_apply", lambda n, w: (
+        real(n, w).scale(2) if n == 0 else real(n, w)))
+    rep = axiom_suite(2, 2)
+    cell = next(c for c in rep.cells if c.key == "omega-mode n=0 w=[2]")
+    assert (cell.lhs, cell.rhs, cell.status) == ("2*[2]", "4*[2]", FAIL)
+    failed = [c.key for c in rep.cells if c.status == FAIL]
+    assert failed == [f"omega-mode n=0 w={list(m)}" for m in basis(2) if m]
+    assert all(c.lhs == c.rhs for c in rep.cells if c.status == PASS)
     assert not rep.passed
