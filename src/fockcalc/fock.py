@@ -138,11 +138,11 @@ def _vec(acc: dict, den: int = 1) -> FockVector:
 
 def _den(v: FockVector) -> int:
     """The lcm of v's coefficient denominators; 1 for the zero vector."""
-    return lcm(*(c.denominator for c in v.terms.values()))
+    return lcm(*[c.denominator for c in v.terms.values()])
 
 
-def _on_scale(v: FockVector, den: int) -> dict:
-    """den * v as an int term map.
+def _on_scale(v: FockVector, den: int) -> FockVector:
+    """den * v as an int-valued vector.
 
     The division is exact: a coefficient that is not a multiple of 1/den
     raises, so no entry is ever floored onto the scale.
@@ -154,7 +154,14 @@ def _on_scale(v: FockVector, den: int) -> dict:
             raise ValueError(f"coefficient {rat_str(c)} of {list(mon)} is "
                              f"not a multiple of 1/{den}")
         out[mon] = n
-    return out
+    return FockVector(out)
+
+
+def _off_scale(terms: dict, den: int) -> FockVector:
+    """The inverse of ``_on_scale``: the Fraction-valued vector terms / den
+    of an int term map, zero entries dropped."""
+    return FockVector({mon: Fraction(x, den) for mon, x in terms.items()
+                       if x})
 
 
 @functools.lru_cache(maxsize=None)

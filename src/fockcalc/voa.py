@@ -23,8 +23,8 @@ from types import MappingProxyType
 
 from .exact import PowerSeries, _add_into
 from .fock import (FockVector, _axpy, _den, _insert_part, _int_str,
-                   _on_scale, _remove_part, _vec, fock_str, vacuum,
-                   weight_basis)
+                   _off_scale, _on_scale, _remove_part, _vec, fock_str,
+                   vacuum, weight_basis)
 from .quadratic import L_apply
 from .report import FAIL, PASS, VerificationReport
 from .series import MultiSeries, comb_int, window_var
@@ -87,25 +87,69 @@ def _mode_mon(state: tuple, n: int, target: tuple) -> FockVector:
     return FockVector(MappingProxyType(terms))
 
 
+def _iaxpy(acc: dict, terms, c: int) -> None:
+    """acc += c * terms, in place, for int term maps; zero sums are kept."""
+    for mon, x in terms.items():
+        acc[mon] = acc.get(mon, 0) + c * x
+
+
+def _nonzero(acc: dict) -> dict:
+    """acc without its zero entries; acc itself when it has none."""
+    if 0 in acc.values():
+        return {mon: x for mon, x in acc.items() if x}
+    return acc
+
+
 def mode_apply(state: FockVector, n: int, w: FockVector) -> FockVector:
-    """Bilinear extension of the monomial mode action."""
+    """Bilinear extension of the monomial mode action.
+
+    The sum is taken in ints from ``_mode_mon`` on the scale D =
+    den(state) den(w), den the lcm of a vector's coefficient
+    denominators, and divided by D once.  On the scale D = 1 (int-valued
+    state and w in particular) the result keeps its int values.
+    """
+    ds, dw = _den(state), _den(w)
+    # den(v) is the lcm of v's denominators, so each scaled coefficient
+    # c * den(v) is an exact int
+    wi = [(wmon, wc.numerator * (dw // wc.denominator))
+          for wmon, wc in w.terms.items()]
     acc = {}
     for smon, sc in state.terms.items():
-        for wmon, wc in w.terms.items():
-            _axpy(acc, _mode_mon(smon, n, wmon), sc * wc)
-    return _vec(acc)
+        sc = sc.numerator * (ds // sc.denominator)
+        for wmon, wc in wi:
+            table = _mode_mon(smon, n, wmon).terms
+            if table:
+                _iaxpy(acc, table, sc * wc)
+    if ds * dw == 1:
+        return FockVector(_nonzero(acc))
+    return _off_scale(acc, ds * dw)
+
+
+def _weight_field(v: FockVector, den: int) -> list:
+    """The weight components (a, den * comp) of v, as int-valued vectors."""
+    return [(a, _on_scale(comp, den)) for a, comp in v.weight_components()]
+
+
+def _x_coef(field: list, e: int, t: FockVector) -> FockVector:
+    """Coefficient of x^e in X(s, x)t for an int-valued t, the state s
+    given by its ``_weight_field``: the component of weight a contributes
+    its mode a - e - 1.  An int-valued vector."""
+    acc = {}
+    for a, s in field:
+        _iaxpy(acc, mode_apply(s, a - e - 1, t).terms, 1)
+    return FockVector(_nonzero(acc))
 
 
 def X_apply(v: FockVector, w: FockVector, n: int) -> FockVector:
     """Coefficient of x^{-n} in X(v,x)w = x^{L(0)-shift} Y(v,x)w.
 
     Handled per weight component: a component of weight a contributes
-    its mode of index a + n - 1.
+    its mode of index a + n - 1.  Summed in ints on the scale den(v)
+    den(w), as ``mode_apply`` sums.
     """
-    acc = {}
-    for a, comp in v.weight_components():
-        _axpy(acc, mode_apply(comp, a + n - 1, w), 1)
-    return _vec(acc)
+    dv, dw = _den(v), _den(w)
+    x = _x_coef(_weight_field(v, dv), -n, _on_scale(w, dw))
+    return x if dv * dw == 1 else _off_scale(x.terms, dv * dw)
 
 
 # ---------------------------------------------------------------------------
@@ -343,61 +387,33 @@ def weak_comm_check(u: FockVector, v: FockVector, w: FockVector,
 # The classical Jacobi identity
 # ---------------------------------------------------------------------------
 
-def _iaxpy(acc: dict, terms, c: int) -> None:
-    """acc += c * terms, in place, for int term maps; zero sums are kept."""
-    for mon, x in terms.items():
-        acc[mon] = acc.get(mon, 0) + c * x
-
-
-def _nonzero(acc: dict) -> dict:
-    """acc without its zero entries; acc itself when it has none."""
-    if 0 in acc.values():
-        return {mon: x for mon, x in acc.items() if x}
-    return acc
-
-
-def _field_coef(field: list, e: int, t: dict) -> dict:
-    """Coefficient of x^e in sum_{(a, s) in field} x^a Y(s, x) t, for int
-    term maps s and t: the mode a - e - 1 of each s.  With field [(0, s)]
-    this is Y(s, x) t; with the weight components of s it is X(s, x) t."""
-    acc = {}
-    for a, s in field:
-        n = a - e - 1
-        for smon, sc in s.items():
-            for tmon, tc in t.items():
-                table = _mode_mon(smon, n, tmon).terms
-                if table:
-                    _iaxpy(acc, table, sc * tc)
-    return _nonzero(acc)
-
-
-def _weight_field(v: FockVector, den: int) -> list:
-    """The weight components (a, den * comp) of v, as int term maps."""
-    return [(a, _on_scale(comp, den)) for a, comp in v.weight_components()]
-
-
 class _ProductTables:
     """The products of the two product terms of one (u, v, w) check, as
-    int term maps on the check's scale, each computed the first time a
-    cell asks for it and freed with the check.
+    int-valued vectors on the check's scale, each computed the first time
+    a cell asks for it and freed with the check.
 
-    The fields of u and v (see ``_field_coef``) and the state w are int
-    term maps.  uw(e) is the coefficient of x^e in the field of u applied
-    to w, and u_vw(e, e_in) that of the field of u applied to vw(e_in);
-    likewise vw and v_uw.  By weight, uw(e) vanishes for e < -u_reach,
-    and vw(e) for e < -v_reach.
+    coef(s, e, t) is the coefficient of x^e in the field of s applied to
+    the int-valued t: Y for the classical identity, X for the dilated
+    one.  By weight, coef(u, e, w) vanishes for e < -u_reach, and
+    coef(v, e, w) for e < -v_reach.
     """
 
-    def __init__(self, u_field, v_field, w, u_reach, v_reach):
+    def __init__(self, coef, u, v, w, u_reach, v_reach):
         self.u_reach, self.v_reach = u_reach, v_reach
         # the fills capture the inner tables, not self: a reference cycle
         # would keep every table alive past its check until a gc pass
-        uw = self.uw = functools.cache(lambda e: _field_coef(u_field, e, w))
-        vw = self.vw = functools.cache(lambda e: _field_coef(v_field, e, w))
-        self.v_uw = functools.cache(
-            lambda e, e_in: _field_coef(v_field, e, uw(e_in)))
-        self.u_vw = functools.cache(
-            lambda e, e_in: _field_coef(u_field, e, vw(e_in)))
+        uw = self.uw = functools.cache(lambda e: coef(u, e, w))
+        vw = self.vw = functools.cache(lambda e: coef(v, e, w))
+        self.v_uw = functools.cache(lambda e, e_in: coef(v, e, uw(e_in)))
+        self.u_vw = functools.cache(lambda e, e_in: coef(u, e, vw(e_in)))
+
+
+def _x_tables(u, v, w, ww) -> _ProductTables:
+    """Tables of the X fields of u and v on w, for Fraction-valued u, v
+    and w: on the scale den(u) den(v) den(w)."""
+    du, dv, dw = _den(u), _den(v), _den(w)
+    return _ProductTables(_x_coef, _weight_field(u, du), _weight_field(v, dv),
+                          _on_scale(w, dw), ww, ww)
 
 
 def _lhs_cell(tab: _ProductTables, a0, a1, a2) -> dict:
@@ -415,8 +431,8 @@ def _lhs_cell(tab: _ProductTables, a0, a1, a2) -> dict:
             kmax = min(kmax, n)
         for k in range(kmax + 1):
             c = comb_int(n, k) * (-1) ** k * sign
-            if c and inner(e_in - k):
-                _iaxpy(acc, outer(e_out - n + k, e_in - k), c)
+            if c and inner(e_in - k).terms:
+                _iaxpy(acc, outer(e_out - n + k, e_in - k).terms, c)
     return acc
 
 
@@ -428,8 +444,8 @@ def _jacobi_rhs_cell(uv, iterate, top, a0, a1, a2) -> dict:
     for j in range(-a0 - 1, top):
         k = a0 + j + 1
         c = comb_int(a0 + a1 + j + 1, k) * (-1) ** k
-        if c and uv(j):
-            _iaxpy(acc, iterate(j, -(a0 + a1 + a2 + j + 3)), c)
+        if c and uv(j).terms:
+            _iaxpy(acc, iterate(j, -(a0 + a1 + a2 + j + 3)).terms, c)
     return acc
 
 
@@ -476,8 +492,8 @@ def jacobi_check(u: FockVector, v: FockVector, w: FockVector,
     nonnegative powers of the second variable throughout).  Each cell is
     a binomial-weighted sum of entries of per-check mode tables.  The
     modes are integral, so on the scale D = den(u) den(v) den(w) (den the
-    lcm of a vector's denominators) every table and cell is an int term
-    map.
+    lcm of a vector's denominators) every table entry is an int-valued
+    vector and every cell an int term map.
     """
     rep = VerificationReport(
         identity="jacobi-identity",
@@ -486,11 +502,10 @@ def jacobi_check(u: FockVector, v: FockVector, w: FockVector,
     wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
     du, dv, dw = _den(u), _den(v), _den(w)
     ui, vi, wi = _on_scale(u, du), _on_scale(v, dv), _on_scale(w, dw)
-    u_field = [(0, ui)]
-    tab = _ProductTables(u_field, [(0, vi)], wi, wu + ww, wv + ww)
-    uv = functools.cache(lambda j: _field_coef(u_field, -j - 1, vi))
-    iterate = functools.cache(
-        lambda j, m: _field_coef([(0, uv(j))], -m - 1, wi))
+    tab = _ProductTables(lambda s, e, t: mode_apply(s, -e - 1, t),
+                         ui, vi, wi, wu + ww, wv + ww)
+    uv = functools.cache(lambda j: mode_apply(ui, j, vi))
+    iterate = functools.cache(lambda j, m: mode_apply(uv(j), m, wi))
     return _check_box(rep, windows, wu + wv + ww, du * dv * dw,
                       lambda a0, a1, a2: (
                           _lhs_cell(tab, a0, a1, a2),
@@ -560,27 +575,20 @@ def _compose_zhu_frozen(u_terms: frozenset, v_terms: frozenset,
                              for q, acc in out.items() if (vec := _vec(acc))})
 
 
-def _fraction_vec(terms: dict, den: int) -> FockVector:
-    """The Fraction-valued vector terms / den of an int term map."""
-    return FockVector({mon: Fraction(x, den) for mon, x in terms.items() if x})
-
-
 def _dilated_lhs_cell(u, v, w, ww, a0, a1, a2) -> FockVector:
     """Coefficient of x0^a0 x1^a1 x2^a2 in the two product terms built on
     the weight-shifted operators, delta arguments simplified through the
     log relations (nonnegative powers of the inner variable)."""
-    du, dv, dw = _den(u), _den(v), _den(w)
-    tab = _ProductTables(_weight_field(u, du), _weight_field(v, dv),
-                         _on_scale(w, dw), ww, ww)
-    return _fraction_vec(_lhs_cell(tab, a0, a1, a2), du * dv * dw)
+    return _off_scale(_lhs_cell(_x_tables(u, v, w, ww), a0, a1, a2),
+                      _den(u) * _den(v) * _den(w))
 
 
-def _gw_table(g_by_q: dict, den: int, w: dict):
-    """gw(q, c): the coefficient of x^c in X(den g_q, x)w for an int term
-    map w, as an int term map, filled lazily; each g_q is put on the
+def _gw_table(g_by_q: dict, den: int, w: FockVector):
+    """gw(q, c): the coefficient of x^c in X(den g_q, x)w for an int-valued
+    w, as an int-valued vector, filled lazily; each g_q is put on the
     scale den the first time a cell asks for it."""
     field = functools.cache(lambda q: _weight_field(g_by_q[q], den))
-    return functools.cache(lambda q, c: _field_coef(field(q), c, w))
+    return functools.cache(lambda q, c: _x_coef(field(q), c, w))
 
 
 def _dilated_rhs_ints(g_by_q: dict, q_min: int, gw, a0, a1, a2) -> dict:
@@ -596,7 +604,7 @@ def _dilated_rhs_ints(g_by_q: dict, q_min: int, gw, a0, a1, a2) -> dict:
     for k in range(kmax + 1):
         c = comb_int(n, k) * (-1) ** k
         if c and a0 - k in g_by_q:
-            _iaxpy(acc, gw(a0 - k, c2), c)
+            _iaxpy(acc, gw(a0 - k, c2).terms, c)
     return acc
 
 
@@ -606,8 +614,8 @@ def _dilated_rhs_cell(g_by_q: dict, q_min: int, w, a0, a1, a2) -> FockVector:
     den_g = lcm(*map(_den, g_by_q.values()))
     dw = _den(w)
     gw = _gw_table(g_by_q, den_g, _on_scale(w, dw))
-    return _fraction_vec(_dilated_rhs_ints(g_by_q, q_min, gw, a0, a1, a2),
-                         den_g * dw)
+    return _off_scale(_dilated_rhs_ints(g_by_q, q_min, gw, a0, a1, a2),
+                      den_g * dw)
 
 
 def dilated_jacobi_check(u: FockVector, v: FockVector, w: FockVector,
@@ -619,13 +627,11 @@ def dilated_jacobi_check(u: FockVector, v: FockVector, w: FockVector,
     The ratio expansion is carried to whatever order the requested x0
     window needs (ydeg acts as a floor for the composition order), so
     every cell in the box is exact.  Each cell is a binomial-weighted
-    sum of entries of per-check X-mode tables, as int term maps on the
-    scale D = lcm(den(u) den(v), den_g) den(w): the product terms are
-    multiples of 1/(den(u) den(v) den(w)), and the iterate term of
-    1/(den_g den(w)), den_g the lcm over the g_q.  (For the true g_q,
-    den_g divides den(u) den(v): g(r) = Y((1 - r)^{-L(0)} u, r/(1 - r))v
-    has int binomial weights.  The lcm keeps the scale right without
-    relying on that.)
+    sum of entries of per-check X-mode tables, as int-valued vectors on
+    the scale D = den(u) den(v) den(w).  The iterate term is on it too:
+    g(r) = Y[u, -log(1 - r)]v = Y((1 - r)^{-L(0)} u, r/(1 - r))v has int
+    binomial weights, so each g_q is a multiple of 1/(den(u) den(v)); a
+    g_q off that scale raises.
     """
     rep = VerificationReport(
         identity="dilated-jacobi-identity",
@@ -636,15 +642,10 @@ def dilated_jacobi_check(u: FockVector, v: FockVector, w: FockVector,
     r_order = max(ydeg, windows["x0"][1] + wu + wv + 1)
     g_by_q = _compose_zhu_with_log(u, v, r_order)
     q_min = min(g_by_q, default=0)
-    dv, dw = _den(v), _den(w)
-    d_uv = lcm(_den(u) * dv, *map(_den, g_by_q.values()))
-    wi = _on_scale(w, dw)
-    # u carries the factor d_uv / (den(u) den(v)) that lifts the product
-    # terms onto the scale D
-    tab = _ProductTables(_weight_field(u, d_uv // dv), _weight_field(v, dv),
-                         wi, ww, ww)
-    gw = _gw_table(g_by_q, d_uv, wi)
-    return _check_box(rep, windows, wu + wv + ww, d_uv * dw,
+    du, dv, dw = _den(u), _den(v), _den(w)
+    tab = _x_tables(u, v, w, ww)
+    gw = _gw_table(g_by_q, du * dv, _on_scale(w, dw))
+    return _check_box(rep, windows, wu + wv + ww, du * dv * dw,
                       lambda a0, a1, a2: (
                           _lhs_cell(tab, a0, a1, a2),
                           _dilated_rhs_ints(g_by_q, q_min, gw, a0, a1, a2)))

@@ -1,11 +1,11 @@
-"""The Jacobi cells on one integer scale per check, against the Fraction
-cells they replaced.
+"""The mode actions and the Jacobi cells on one integer scale, against
+the Fraction code they replaced.
 
-The reference below is the Fraction form of the cell functions: tables of
-Fraction-valued vectors from ``mode_apply`` and ``X_apply``, summed
-through ``_axpy`` and ``_vec``.  Every cell of both identities must render
-to the same strings and the same verdict, and every unlisted cell must be
-zero on both sides.
+The reference below is the Fraction form of the mode actions and of the
+cell functions: ``_mode_mon`` tables summed through ``_axpy`` and
+``_vec``.  ``mode_apply`` and ``X_apply`` must match it on every state,
+and every cell of both identities must render to the same strings and the
+same verdict, with every unlisted cell zero on both sides.
 """
 
 import functools
@@ -14,12 +14,13 @@ from fractions import Fraction as F
 import pytest
 
 from fockcalc import voa
-from fockcalc.fock import (FockVector, _axpy, _on_scale, _vec, basis,
-                           fock_str, monomial, vacuum)
+from fockcalc.fock import (FockVector, _axpy, _off_scale, _on_scale, _vec,
+                           basis, fock_str, monomial, vacuum)
 from fockcalc.report import FAIL, PASS
 from fockcalc.series import comb_int
 from fockcalc.voa import (VOAConstants, X_apply, _compose_zhu_with_log,
-                          dilated_jacobi_check, jacobi_check, mode_apply)
+                          _mode_mon, dilated_jacobi_check, jacobi_check,
+                          mode_apply)
 
 H = FockVector({(1,): F(1)})
 OMEGA = VOAConstants.omega()
@@ -30,6 +31,45 @@ W_STATES = ([FockVector({mon: F(1)}) for mon in basis(2)]
                                   monomial([1, 1]): F(-1, 2)})])
 BOX = 3
 YDEG = 3
+
+
+def _ref_mode_apply(state, n, w):
+    acc = {}
+    for smon, sc in state.terms.items():
+        for wmon, wc in w.terms.items():
+            _axpy(acc, _mode_mon(smon, n, wmon), sc * wc)
+    return _vec(acc)
+
+
+def _ref_X_apply(v, w, n):
+    acc = {}
+    for a, comp in v.weight_components():
+        _axpy(acc, _ref_mode_apply(comp, a + n - 1, w), 1)
+    return _vec(acc)
+
+
+MODE_STATES = list(STATES.values()) + W_STATES + [
+    FockVector({monomial([1]): F(2, 5), monomial([2, 1]): F(-3, 4)})]
+
+
+def test_mode_actions_match_fraction_sums():
+    for s in MODE_STATES:
+        for t in MODE_STATES:
+            for n in range(-4, 5):
+                assert mode_apply(s, n, t) == _ref_mode_apply(s, n, t)
+                assert X_apply(s, t, n) == _ref_X_apply(s, t, n)
+
+
+def test_mode_actions_keep_int_values_on_the_scale_one():
+    u = FockVector({monomial([2]): 3, monomial([1, 1]): -2})
+    w = FockVector({monomial([1]): 5})
+    for n in range(-3, 3):
+        for got in (mode_apply(u, n, w), X_apply(u, w, n)):
+            assert all(type(c) is int and c for c in got.terms.values())
+    # off the scale one the sum is divided back into Fractions
+    half = mode_apply(OMEGA, -1, w)
+    assert half.terms == {(1, 1, 1): F(5, 2), (3,): F(5)}
+    assert all(type(c) is F for c in half.terms.values())
 
 
 class _RefTables:
@@ -83,21 +123,21 @@ def _ref_dilated_rhs_cell(g_by_q, q_min, gw, a0, a1, a2):
 
 def _ref_jacobi(u, v, w):
     wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
-    tab = _RefTables(lambda s, e, t: mode_apply(s, -e - 1, t),
+    tab = _RefTables(lambda s, e, t: _ref_mode_apply(s, -e - 1, t),
                      u, v, w, wu + ww, wv + ww)
-    uv = functools.cache(lambda j: mode_apply(u, j, v))
-    iterate = functools.cache(lambda j, m: mode_apply(uv(j), m, w))
+    uv = functools.cache(lambda j: _ref_mode_apply(u, j, v))
+    iterate = functools.cache(lambda j, m: _ref_mode_apply(uv(j), m, w))
     return lambda a0, a1, a2: (
         _ref_lhs_cell(tab, a0, a1, a2),
         _ref_jacobi_rhs_cell(uv, iterate, wu + wv, a0, a1, a2))
 
 
-def _ref_dilated(u, v, w, compose=_compose_zhu_with_log):
+def _ref_dilated(u, v, w):
     wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
-    g = compose(u, v, max(YDEG, BOX + wu + wv + 1))
+    g = _compose_zhu_with_log(u, v, max(YDEG, BOX + wu + wv + 1))
     q_min = min(g, default=0)
-    tab = _RefTables(lambda s, e, t: X_apply(s, t, -e), u, v, w, ww, ww)
-    gw = functools.cache(lambda q, c: X_apply(g[q], w, -c))
+    tab = _RefTables(lambda s, e, t: _ref_X_apply(s, t, -e), u, v, w, ww, ww)
+    gw = functools.cache(lambda q, c: _ref_X_apply(g[q], w, -c))
     return lambda a0, a1, a2: (
         _ref_lhs_cell(tab, a0, a1, a2),
         _ref_dilated_rhs_cell(g, q_min, gw, a0, a1, a2))
@@ -150,11 +190,11 @@ def test_int_cells_match_fraction_cells(identity, uname, vname):
     assert listed
 
 
-def test_dilated_scale_takes_in_the_denominators_of_g(monkeypatch):
+def test_dilated_g_off_the_scale_raises(monkeypatch):
     # g(r) = Y[u, -log(1 - r)]v = Y((1 - r)^{-L(0)} u, r/(1 - r))v has
-    # int binomial coefficients times u's and v's, so den_g divides
-    # den(u) den(v) for every true g.  A g scaled by 1/7 shows that the
-    # scale still takes den_g in: its cells fail, and render exactly.
+    # int binomial coefficients times u's and v's, so every true g_q is
+    # on the scale den(u) den(v).  A g scaled by 1/7 is not: the check
+    # must refuse it, not floor it onto the scale.
     real = voa._compose_zhu_with_log
 
     def seventh(u, v, r_order):
@@ -162,17 +202,15 @@ def test_dilated_scale_takes_in_the_denominators_of_g(monkeypatch):
 
     monkeypatch.setattr(voa, "_compose_zhu_with_log", seventh)
     for w in W_STATES:
-        rep = dilated_jacobi_check(OMEGA, H, w, _WINDOWS, YDEG)
-        want = _reference_cells(_ref_dilated(OMEGA, H, w, seventh))
-        assert _listed_cells(rep) == want, w
-        assert any(rhs.startswith("1/7*") for _, rhs, _ in want.values())
-        assert not rep.passed
+        with pytest.raises(ValueError, match="not a multiple of 1/2"):
+            dilated_jacobi_check(OMEGA, H, w, _WINDOWS, YDEG)
 
 
 def test_entry_off_the_scale_raises():
     third = FockVector({(2,): F(1, 3), (1, 1): F(1, 2)})
-    assert _on_scale(third, 6) == {(2,): 2, (1, 1): 3}
-    assert _on_scale(third, 12) == {(2,): 4, (1, 1): 6}
+    assert _on_scale(third, 6).terms == {(2,): 2, (1, 1): 3}
+    assert _on_scale(third, 12).terms == {(2,): 4, (1, 1): 6}
+    assert _off_scale({(2,): 4, (1, 1): 6, (3,): 0}, 12) == third
     for den in (1, 2, 3, 4):
         with pytest.raises(ValueError, match="not a multiple of 1/"):
             _on_scale(third, den)
