@@ -164,6 +164,19 @@ def _off_scale(terms: dict, den: int) -> FockVector:
                        if x})
 
 
+def _iaxpy(acc: dict, terms, c: int) -> None:
+    """acc += c * terms, in place, for int term maps; zero sums are kept."""
+    for mon, x in terms.items():
+        acc[mon] = acc.get(mon, 0) + c * x
+
+
+def _nonzero(acc: dict) -> dict:
+    """acc without its zero entries; acc itself when it has none."""
+    if 0 in acc.values():
+        return {mon: x for mon, x in acc.items() if x}
+    return acc
+
+
 @functools.lru_cache(maxsize=None)
 def _label(mon: tuple) -> str:
     return "[" + ",".join(map(str, mon)) + "]"

@@ -311,7 +311,9 @@ def interpolate_polynomial(points):
     npts = len(points)
     rows = [[x ** k for k in range(npts)] for x, _ in points]
     sol, unique = solve_exact(rows, [y for _, y in points], npts)
-    assert unique  # distinct nodes: the Vandermonde system is regular
+    if not unique:
+        # distinct nodes make the Vandermonde system regular
+        raise ValueError("interpolation nodes must be distinct")
     return sol
 
 

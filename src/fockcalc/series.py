@@ -28,13 +28,15 @@ zeta-regularized quadratic family.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from types import MappingProxyType
 
 from .exact import ZERO, UsageError, _add_into, bernoulli
-from .fock import FockVector, _axpy, _vec, fock_str, h_apply
+from .fock import (FockVector, _axpy, _den, _iaxpy, _int_str, _nonzero,
+                   _on_scale, _vec, fock_str, h_apply)
 from .quadratic import _lpq_mon, ordered_pair_apply
 from .report import VerificationReport
 
@@ -194,7 +196,8 @@ class MultiSeries:
     # -- linear operations ----------------------------------------------------
 
     def add(self, other: "MultiSeries") -> "MultiSeries":
-        assert self.same_space(other)
+        if not self.same_space(other):
+            raise ValueError("series over different variables")
         ival = {}
         for name in self.window_names():
             alo, ahi = self.x_ival[name]
@@ -268,7 +271,8 @@ class MultiSeries:
         behaviour of the other, else the certified result region is empty
         and this raises.
         """
-        assert self.same_space(other)
+        if not self.same_space(other):
+            raise ValueError("series over different variables")
         if self.neg_floor or other.neg_floor:
             raise UncertifiedError("cannot multiply expanded pole series; "
                                    "expand after all products")
@@ -818,29 +822,6 @@ def slot_pair_apply(varspecs, a_form: dict, b_form: dict, xname: str,
     return out
 
 
-def slot_pair_apply_series(a_form: dict, b_form: dict, xname: str,
-                           window: tuple, s: MultiSeries) -> MultiSeries:
-    """Apply the colon pair in a fresh window variable to every
-    coefficient of a vector-valued series."""
-    if s.tcap is None:
-        raise UsageError("series must carry a truncation cap")
-    xi = s.pos(xname)
-    lo, hi = window
-    ival = dict(s.x_ival)
-    ival[xname] = (lo, hi)
-    out = MultiSeries(s.varspecs, {}, ival, s.tcap, s.neg_floor)
-    for scell, vec in s.terms.items():
-        if scell[xi] != 0:
-            raise UsageError(f"series already involves {xname}")
-        budget = s.tcap - s.tdeg(scell)
-        part = slot_pair_apply(s.varspecs, a_form, b_form, xname, window, vec,
-                               budget)
-        for pcell, pvec in part.terms.items():
-            cell = tuple(a + b for a, b in zip(scell, pcell))
-            _add_into(out.terms, cell, pvec)
-    return out._prune()
-
-
 def normal_ordered_pair(y1: str, y2: str, xname: str, v: FockVector,
                         window: tuple, order: int) -> MultiSeries:
     """:h(e^{y1} x) h(e^{y2} x): v, unhalved (the generating function of
@@ -905,73 +886,27 @@ _RHS_TERMS = (
     ("y2", {"y1": 1, "y2": -1, "y3": 1}, "y4", ("y2", "y3")),
     ("y2", {"y1": 1, "y2": -1, "y4": 1}, "y3", ("y2", "y4")),
 )
+_YS = ("y1", "y2", "y3", "y4")
 
 
-def _mul_delta_pinned(n_series: MultiSeries, f: str, g: str, x1: str, x2: str,
-                      out_window: tuple, tcap: int) -> MultiSeries:
-    """n_series(x2, y) * delta(e^f x1 / e^g x2) on the output box.
-
-    The delta contributes e^{n(f-g)} x1^n x2^{-n}; for an output cell the
-    x1 exponent pins n, so the x2 slice of n_series is shifted by n and
-    convolved with one exponential factor.  The factor's cells are taken
-    in order of degree, up to the budget tcap - tdeg left by each
-    n_series cell, with their coefficients times tcap! as int weights;
-    cells outside the certified x2 interval are never formed.
-    """
-    x1i, x2i = n_series.pos(x1), n_series.pos(x2)
-    lo, hi = out_window
-    n_lo, n_hi = n_series.x_ival[x2]
-    ival = dict(n_series.x_ival)
-    ival[x1] = (lo, hi)
-    ival[x2] = (None if n_lo is None else n_lo - lo,
-                None if n_hi is None else n_hi - hi)
-    out = MultiSeries(n_series.varspecs, {}, ival,
-                      _min_none(n_series.tcap, tcap))
-    x2_lo, x2_hi = ival[x2]
-
-    def known_x2(e2):
-        return ((x2_lo is None or e2 >= x2_lo)
-                and (x2_hi is None or e2 <= x2_hi))
-
-    scale = factorial(tcap)
-    ncells = [(ncell, out.tcap - out.tdeg(ncell), vec)
-              for ncell, vec in n_series.terms.items()]
-    accs = {}                   # cell -> _axpy accumulator
-    for e1 in range(lo, hi + 1):
-        efactor = exp_linear_form(n_series.varspecs, {f: e1, g: -e1}, tcap)
-        ecells = sorted((out.tdeg(ycell), ycell, _int_weight(c * scale))
-                        for ycell, c in efactor.terms.items())
-        for ncell, budget, vec in ncells:
-            e2 = ncell[x2i] - e1
-            if not known_x2(e2):
-                continue
-            for deg, ycell, c in ecells:
-                if deg > budget:
-                    break
-                cell = [a + b for a, b in zip(ncell, ycell)]
-                cell[x1i] = e1
-                cell[x2i] = e2
-                cell = tuple(cell)
-                acc = accs.get(cell)
-                if acc is None:
-                    acc = accs[cell] = {}
-                _axpy(acc, vec, c)
-    out.terms = {cell: _vec(acc, scale) for cell, acc in accs.items()}
-    return out._prune()
+def _ys(form: dict) -> tuple:
+    """An int linear form as its coefficient tuple over y1..y4."""
+    return tuple(form.get(y, 0) for y in _YS)
 
 
-def _int_weight(c) -> int:
-    """c as an int, which it must be exactly."""
-    c = Fraction(c)
-    assert c.denominator == 1, c
-    return c.numerator
+def _exact_div(num: int, den: int) -> int:
+    """num / den, which must be an int: a remainder raises, so no value is
+    ever floored onto an int scale."""
+    q, r = divmod(num, den)
+    if r:
+        raise ValueError(f"{num}/{den} is not on the int scale")
+    return q
 
 
 def _genfun_space(w: int, d: int) -> tuple:
     """Variables of the generating-function identity on the +-w box."""
-    return (trunc_var("y1", d), trunc_var("y2", d), trunc_var("y3", d),
-            trunc_var("y4", d), window_var("x1", -w, w),
-            window_var("x2", -w, w))
+    return tuple(trunc_var(y, d) for y in _YS) + (
+        window_var("x1", -w, w), window_var("x2", -w, w))
 
 
 def _genfun_floor(d: int) -> int:
@@ -983,31 +918,55 @@ def _plusplus_pieces(window: int, ydeg: int) -> tuple:
     """The convention-free part of the ++ correction: for each n in the
     window, the pole sums ((n, (LocalizedSeries, ...)), ...).
 
-    Each of the four terms is +(1/4) d_outer [ W'(a-b) e^{n(f-g)} ].  The
-    four poles a-b come in two opposite pairs, so the terms of each n are
-    summed over a pole taken up to sign; only these sums are expanded,
-    once per convention.  The bodies' terms are read-only, since every
-    convention shares them.
+    Each of the four terms is +(1/4) d_outer [ W'(lam) e^{n(f-g)} ], lam =
+    a - b, and W'(lam) = H(lam) / lam^2 (``_derivative_pole``), so the
+    term is (lam d_outer P - 2 c P) / (4 lam^3) with P = H(lam) e^{n(f-g)}
+    through total degree K = ydeg + 3 and c the outer coefficient of lam.
+    P is summed in ints over den(H) K!.  The four poles come in two
+    opposite pairs, so the terms of each n are summed over a pole taken
+    up to sign; only these sums are expanded, once per convention.  The
+    bodies' terms are read-only, since every convention shares them.
     """
-    w, d = window, ydeg
-    varspecs = _genfun_space(w, d)
-    body_order = d + 3
-    bases = [(outer, f, g,
-              _derivative_pole(a_form, {b_var: 1}, varspecs, body_order))
+    varspecs = _genfun_space(window, ydeg)
+    top = ydeg + 3
+    bases = [(_YS.index(outer), _ys({f: 1, g: -1}),
+              _derivative_pole(a_form, {b_var: 1}, varspecs, top))
              for outer, a_form, b_var, (f, g) in _RHS_TERMS]
+    den_h = lcm(*(x.denominator for *_, base in bases
+                  for x in base.body.terms.values()))
+    fact = factorial(top)
     out = []
-    for n in range(-w, w + 1):
+    for n in range(-window, window + 1):
         by_pole = {}
-        for outer, f, g, base in bases:
-            efactor = exp_linear_form(varspecs, {f: n, g: -n}, body_order)
-            piece = (base.mul_series(efactor).dy(outer)
-                     .scale(Fraction(1, 4)))
-            key = _form_up_to_sign(piece.pole)
-            acc = by_pole.get(key)
-            by_pole[key] = piece if acc is None else acc.add(piece)
-        for loc in by_pole.values():
-            loc.body.terms = MappingProxyType(loc.body.terms)
-        out.append((n, tuple(by_pole.values())))
+        for o, fg, base in bases:
+            lam = _ys(base.pole)    # the pole a - b
+            efactor = [(cell, sum(cell), _exact_div(x.numerator * fact,
+                                                    x.denominator))
+                       for cell, x in _exp_cells(tuple(n * c for c in fg), top)]
+            product = {}
+            for cell, x in base.body.terms.items():
+                cell, x = cell[:4], x.numerator * (den_h // x.denominator)
+                for ecell, deg, y in efactor:
+                    if deg <= top - sum(cell):
+                        new = tuple(a + b for a, b in zip(cell, ecell))
+                        product[new] = product.get(new, 0) + x * y
+            # lam d_outer P - 2 c P, and -body / lam^3 for the pole -lam
+            key = min(lam, tuple(-c for c in lam))
+            pole, piece = by_pole.setdefault(key, (base.pole, {}))
+            sign = 1 if lam == _ys(pole) else -1
+            for cell, x in product.items():
+                piece[cell] = piece.get(cell, 0) - 2 * lam[o] * x * sign
+                if cell[o]:
+                    down = cell[:o] + (cell[o] - 1,) + cell[o + 1:]
+                    for j, c in enumerate(lam):
+                        new = down[:j] + (down[j] + 1,) + down[j + 1:]
+                        piece[new] = piece.get(new, 0) + c * cell[o] * x * sign
+        out.append((n, tuple(
+            LocalizedSeries(pole, 3, MultiSeries(varspecs, MappingProxyType(
+                {cell + (0, 0): Fraction(x, 4 * den_h * fact)
+                 for cell, x in piece.items() if x}),
+                {"x1": (None, None), "x2": (None, None)}, top))
+            for pole, piece in by_pole.values())))
     return tuple(out)
 
 
@@ -1033,103 +992,151 @@ def _plusplus_correction(conv: ExpansionConvention, window: int,
     return tuple(out)
 
 
-def _form_up_to_sign(form: dict) -> tuple:
-    """One key for a linear form and its negation."""
-    key = tuple(sorted(form.items()))
-    return min(key, tuple((name, -c) for name, c in key))
+@functools.lru_cache(maxsize=None)
+def _genfun_scalars(window: int, ydeg: int) -> tuple:
+    """The vector-free int tables of the sides on the +-window box, as
+    (E, lhs, rhs); built once and shared read-only by every vector.
 
-
-def _genfun_sides(v: FockVector, w: int, d: int) -> tuple:
-    """The convention-free sides of the generating-function identity on
-    v: the left side and the colon part of the right side."""
-    varspecs = _genfun_space(w, d)
-
-    # left side: (1/4) [colon pair at x1, colon pair at x2] v
-    q = slot_pair_apply(varspecs, {"y3": 1}, {"y4": 1}, "x2", (-w, w), v, d)
-    pq = slot_pair_apply_series({"y1": 1}, {"y2": 1}, "x1", (-w, w), q)
-    r = slot_pair_apply(varspecs, {"y1": 1}, {"y2": 1}, "x1", (-w, w), v, d)
-    qr = slot_pair_apply_series({"y3": 1}, {"y4": 1}, "x2", (-w, w), r)
-    lhs = pq.sub(qr).scale(Fraction(1, 4))
-
-    # right side, colon parts: -(1/4) d_outer [slot series * delta]
-    rhs = MultiSeries(varspecs, {}, {"x1": (-w, w), "x2": (-w, w)}, d)
+    With T_{p,q}(n) = sum_{j+k=n} j^p k^q :h(j)h(k): (``_lpq_mon``), the
+    sides at x1^e1 x2^e2 on v are, over the common scale E:
+    - lhs ((ycell, ((p1, q1, p2, q2, c), ...)), ...): the left side is
+      sum c [T_{p1,q1}(-e1), T_{p2,q2}(-e2)] v;
+    - rhs[e1 + window] ((ycell, ((p, q, s), ...)), ...): the colon right
+      side is sum s T_{p,q}(-e1-e2) v.  For one term (outer o, delta
+      pair f, g, pair weights W over alpha!, ``_pair_weights``) and
+      gamma = ycell + 1_o, the delta product at gamma is the sum over
+      beta on f and g of W_{gamma-beta}(p, q) / (gamma-beta)! times
+      e1^|beta| (-1)^beta_g / beta!.  d/d outer multiplies it by gamma_o
+      and gamma! = gamma_o ycell!, so s sums -E / (4 ycell!)
+      C(gamma_f, beta_f) C(gamma_g, beta_g) e1^|beta| (-1)^beta_g
+      W_{gamma-beta}(p, q) over beta and the four terms.
+    E = lcm(4 ydeg!, the ++ pole bodies' denominators): the pair weights
+    of a cell divide by a divisor of ydeg!, and the expansion of the
+    correction divides its bodies only by powers of the distinguished
+    coefficient of the pole, +-1 in every pole here.
+    """
+    w, d = window, ydeg
+    scale = lcm(4 * factorial(d), *(
+        x.denominator for _, locs in _plusplus_pieces(w, d) for loc in locs
+        for x in loc.body.terms.values()))
+    lhs = tuple(
+        (tuple(a + b for a, b in zip(alpha, beta)),
+         tuple((p1, q1, p2, q2, _exact_div(scale * c1 * c2, 4 * da * db))
+               for p1, q1, c1 in pq_a for p2, q2, c2 in pq_b))
+        for alpha, da, pq_a in _pair_weights(_ys({"y1": 1}), _ys({"y2": 1}), d)
+        for beta, db, pq_b in _pair_weights(_ys({"y3": 1}), _ys({"y4": 1}),
+                                            d - sum(alpha)))
+    rows = [{} for _ in range(2 * w + 1)]   # e1 + w -> ycell -> (p, q) -> s
+    ycells = [c for c in itertools.product(range(d + 1), repeat=4)
+              if sum(c) <= d]
     for outer, a_form, b_var, (f, g) in _RHS_TERMS:
-        n_series = slot_pair_apply(varspecs, a_form, {b_var: 1}, "x2",
-                                   (-2 * w, 2 * w), v, d + 1)
-        nd = _mul_delta_pinned(n_series, f, g, "x1", "x2", (-w, w), d + 1)
-        rhs = rhs.add(nd.diff(outer))
-    return lhs, rhs.scale(Fraction(-1, 4))
+        weights = {alpha: pq for alpha, _, pq in _pair_weights(
+            _ys(a_form), _ys({b_var: 1}), d + 1)}
+        o, fi, gi = (_YS.index(y) for y in (outer, f, g))
+        for ycell in ycells:
+            unit = _exact_div(scale, 4 * prod(map(factorial, ycell)))
+            gamma = list(ycell)
+            gamma[o] += 1
+            for bf, bg in itertools.product(range(gamma[fi] + 1),
+                                            range(gamma[gi] + 1)):
+                alpha = list(gamma)
+                alpha[fi] -= bf
+                alpha[gi] -= bg
+                pqs = weights.get(tuple(alpha), ())
+                c = (comb_int(gamma[fi], bf) * comb_int(gamma[gi], bg)
+                     * (-1) ** bg * unit)
+                for e1 in range(-w, w + 1):
+                    row = rows[e1 + w].setdefault(ycell, {})
+                    for p, q, wt in pqs:
+                        row[p, q] = (row.get((p, q), 0)
+                                     - c * e1 ** (bf + bg) * wt)
+    rhs = tuple(tuple((ycell, pqs) for ycell, row in by_cell.items()
+                      if (pqs := tuple((p, q, s) for (p, q), s
+                                       in sorted(row.items()) if s)))
+                for by_cell in rows)
+    return scale, lhs, rhs
 
 
-def _genfun_compare(v: FockVector, lhs: MultiSeries, rhs: MultiSeries,
-                    conv: ExpansionConvention, w: int,
-                    d: int) -> VerificationReport:
-    """The report of one convention: the sides of ``_genfun_sides``
-    compared, with the expanded ++ correction acting on v as identity
-    added to the right side."""
+def _genfun_int_sides(v: FockVector, w: int, d: int) -> tuple:
+    """The convention-free sides of the identity on v in ints, as (E,
+    den(v), den(v) v, lhs, rhs) with E of ``_genfun_scalars``.  lhs and
+    rhs map each cell (y1..y4, x1, x2) where that side is nonzero to its
+    int terms on the scale E den(v).  Both sides are certified through
+    total y-degree d on the +-w box: every other compared cell is a
+    certified zero of both."""
+    scale, lhs_rows, rhs_rows = _genfun_scalars(w, d)
+    den_v = _den(v)
+    vi = _on_scale(v, den_v).terms
+    table = functools.cache(
+        lambda p, q, n: _pair_table(p, q, n, tuple(vi.items())).terms)
+    lhs, rhs = {}, {}
+    for e1, e2 in itertools.product(range(-w, w + 1), repeat=2):
+        for ycell, combos in lhs_rows:
+            acc = {}
+            for p1, q1, p2, q2, c in combos:
+                # T_1(-e1) T_2(-e2) v - T_2(-e2) T_1(-e1) v
+                _iaxpy(acc, _pair_table(p1, q1, -e1, tuple(
+                    table(p2, q2, -e2).items())).terms, c)
+                _iaxpy(acc, _pair_table(p2, q2, -e2, tuple(
+                    table(p1, q1, -e1).items())).terms, -c)
+            if acc := _nonzero(acc):
+                lhs[ycell + (e1, e2)] = acc
+        for ycell, pqs in rhs_rows[e1 + w]:
+            acc = {}
+            for p, q, s in pqs:
+                _iaxpy(acc, table(p, q, -e1 - e2), s)
+            if acc := _nonzero(acc):
+                rhs[ycell + (e1, e2)] = acc
+    return scale, den_v, vi, lhs, rhs
+
+
+def _genfun_compare(v: FockVector, sides: tuple, conv: ExpansionConvention,
+                    w: int, d: int, memo: dict) -> VerificationReport:
+    """The report of one convention: the int sides of
+    ``_genfun_int_sides`` compared, with the expanded ++ correction acting
+    on v as identity added to the right side on the diagonal x2 = -x1.
+    memo holds the rendered coefficients of the scale E den(v)."""
+    scale, den_v, vi, lhs, rhs = sides
     dvar = conv.distinguished
     floor_d = _genfun_floor(d)
-    varspecs = lhs.varspecs
-    pos = {vs.name: i for i, vs in enumerate(varspecs)}
-    x1i, x2i = pos["x1"], pos["x2"]
+    varspecs = _genfun_space(w, d)
     correction = dict(_plusplus_correction(conv, w, d))
-
     rep = VerificationReport(
         identity="regularized-commutator-genfun",
         parameters={"weight": v.max_weight(), "window": w, "ydeg": d,
                     "convention": f"neg-powers-{dvar}",
                     "dvar_floor": floor_d},
     )
-
-    others = [n for n in ("y1", "y2", "y3", "y4") if n != dvar]
-
-    def in_region(cell):
-        if not (-w <= cell[x1i] <= w and -w <= cell[x2i] <= w):
-            return False
-        ed = cell[pos[dvar]]
-        if ed < floor_d:
-            return False
-        rest = [cell[pos[n]] for n in others]
-        if any(e < 0 for e in rest):
-            return False
-        return ed + sum(rest) <= d
-
-    ycell_count = 0
-    for ed in range(floor_d, d + 1):
-        budget = d - ed
-        ycell_count += (budget + 1) * (budget + 2) * (budget + 3) // 6
-    region_size = ycell_count * (2 * w + 1) ** 2
-
-    candidates = set(lhs.terms) | set(rhs.terms)
-    if v:                       # the correction acts on v as identity
+    candidates = set(lhs) | set(rhs)
+    if vi:
+        # the expansion leaves only the distinguished exponent negative,
+        # never below floor_d, so the y-degree bounds the region
         for n, ser in correction.items():
-            for cell in ser.terms:
-                full = list(cell)
-                full[x1i] = n
-                full[x2i] = -n
-                candidates.add(tuple(full))
-    checked = sorted(c for c in candidates if in_region(c))
-    rep.bulk_passed += region_size - len(checked)
-
-    zero = FockVector()
+            candidates.update(cell[:4] + (n, -n) for cell in ser.terms
+                              if sum(cell) <= d)
+    checked = sorted(candidates)
+    # the compared region: x exponents in the +-w box, the distinguished
+    # exponent down to floor_d, the others nonnegative, y-degree <= d
+    rep.bulk_passed += (2 * w + 1) ** 2 * sum(
+        comb_int(d - ed + 3, 3) for ed in range(floor_d, d + 1))
+    rep.bulk_passed -= len(checked)
     for cell in checked:
-        lv = lhs.terms.get(cell, zero) if lhs.known(cell) else None
-        rv = rhs.terms.get(cell, zero) if rhs.known(cell) else None
-        if rv is not None and cell[x2i] == -cell[x1i]:
-            ser = correction[cell[x1i]]
-            ycell = list(cell)
-            ycell[x1i] = 0
-            ycell[x2i] = 0
-            ycell = tuple(ycell)
-            if not ser.known(ycell):
-                rv = None
-            elif ycell in ser.terms:
-                rv = rv + v.scale(ser.terms[ycell])
         key = _cell_key(varspecs, cell)
-        if lv is None or rv is None:
-            rep.add_uncertified(key)
-        else:
-            rep.add_cell(key, fock_str(lv), fock_str(rv))
+        lv = lhs.get(cell, {})
+        rv = rhs.get(cell, {})
+        if cell[4] + cell[5] == 0:
+            ser = correction[cell[4]]
+            ycell = cell[:4] + (0, 0)
+            if not ser.known(ycell):
+                rep.add_uncertified(key)
+                continue
+            if c := ser.terms.get(ycell):
+                rv = dict(rv)
+                _iaxpy(rv, vi, _exact_div(c.numerator * scale, c.denominator))
+                rv = _nonzero(rv)
+        text = _int_str(lv, scale * den_v, memo)
+        rep.add_cell(key, text,
+                     text if lv == rv else _int_str(rv, scale * den_v, memo))
     return rep
 
 
@@ -1145,12 +1152,14 @@ def regularized_commutator_checks(v: FockVector, window: int, ydeg: int,
     composite first slot times a dilated delta series, differentiated in
     an outer variable.  Pole parts are carried symbolically and expanded
     at comparison time under each convention; the colon parts of both
-    sides do not depend on it and are built once.  Compared cells: total
-    y-degree <= ydeg, both x exponents in the +-window, the distinguished
-    variable allowed down to the recorded pole floor.
+    sides do not depend on it and are built once, in ints on one scale
+    per vector.  Compared cells: total y-degree <= ydeg, both x exponents
+    in the +-window, the distinguished variable allowed down to the
+    recorded pole floor.
     """
-    lhs, rhs = _genfun_sides(v, window, ydeg)
-    return [_genfun_compare(v, lhs, rhs, conv, window, ydeg)
+    sides = _genfun_int_sides(v, window, ydeg)
+    memo = {}
+    return [_genfun_compare(v, sides, conv, window, ydeg, memo)
             for conv in convs]
 
 

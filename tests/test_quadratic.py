@@ -440,6 +440,13 @@ def test_interpolate_polynomial():
     assert all(not c for i, c in enumerate(coeffs) if i != 3)
 
 
+def test_interpolate_polynomial_repeated_node_raises():
+    # a repeated node leaves the fit underdetermined; this must raise
+    # under python -O as well
+    with pytest.raises(ValueError, match="distinct"):
+        interpolate_polynomial([(1, F(2)), (1, F(2)), (3, F(1))])
+
+
 # ---------------------------------------------------------------------------
 # central decomposition, purity, projection
 # ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from fockcalc.fock import FockVector, basis, fock_str, monomial, vacuum
+from fockcalc import series
+from fockcalc.exact import UsageError, _add_into
+from fockcalc.fock import (FockVector, _axpy, _vec, basis, fock_str, monomial,
+                          vacuum)
 from fockcalc.quadratic import (Lbar_apply, Lr_apply, L_apply, _lpq_mon,
                                 ordered_pair_apply)
+from fockcalc.report import VerificationReport
 from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, MultiSeries,
                              UncertifiedError, apply_dilation, apply_taylor,
                              comb_int, constant_series, contraction_check,
@@ -21,8 +25,8 @@ from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, MultiSeries,
                              regularized_commutator_checks, trunc_var,
                              window_var)
 from fockcalc.series import (_RHS_TERMS, _cell_key, _derivative_pole,
-                             _exp_cells, _genfun_floor, _genfun_sides,
-                             _genfun_space, _mul_delta_pinned, _pair_weights,
+                             _exp_cells, _genfun_floor, _genfun_int_sides,
+                             _genfun_scalars, _genfun_space, _pair_weights,
                              _plusplus_correction, _plusplus_pieces,
                              slot_pair_apply)
 
@@ -98,18 +102,23 @@ def test_zero_series_products_respect_certification():
     assert prod.x_ival["x"] == (None, None)
 
 
-def _truncate(full, lo, hi):
-    # a finite series in x and its truncation to the certified window
-    # [lo, hi]; a None end keeps every term on that side
-    kept = {(e,): c for e, c in full.items()
-            if (lo is None or e >= lo) and (hi is None or e <= hi)}
-    return full, MultiSeries((window_var("x", -1, 1),), kept, {"x": (lo, hi)})
+_YX = (trunc_var("y"), window_var("x", -1, 1))
+
+
+def _truncate(full, lo, hi, tcap=None):
+    # a finite series in (y, x) and its truncation to the certified
+    # region: x in [lo, hi] (a None end keeps every term on that side)
+    # and y-degree <= tcap (None keeps every degree)
+    kept = {(ey, ex): c for (ey, ex), c in full.items()
+            if (lo is None or ex >= lo) and (hi is None or ex <= hi)
+            and (tcap is None or ey <= tcap)}
+    return full, MultiSeries(_YX, kept, {"x": (lo, hi)}, tcap)
 
 
 @st.composite
 def _truncated_series(draw):
     full = draw(st.dictionaries(
-        st.integers(-3, 3),
+        st.tuples(st.integers(0, 3), st.integers(-3, 3)),
         st.builds(F, st.sampled_from([i for i in range(-6, 7) if i]),
                   st.integers(1, 4)),
         max_size=6))
@@ -117,15 +126,27 @@ def _truncated_series(draw):
     hi = draw(st.one_of(st.none(), st.integers(-4, 4)))
     if lo is not None and hi is not None and lo > hi:
         lo, hi = hi, lo
-    return _truncate(full, lo, hi)
+    tcap = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return _truncate(full, lo, hi, tcap)
+
+
+# both factors are supported in y-degree <= 3 and x in [-3, 3]: every
+# product cell outside this range is zero in truth
+_PRODUCT_CELLS = [(ey, ex) for ey in range(-1, 8) for ex in range(-20, 21)]
 
 
 @settings(max_examples=500, deadline=None)
 @given(_truncated_series(), _truncated_series())
 # two factors with no stored terms, unknown on the same side: the first
 # unknown product cell is the sum of their first unknown cells
-@example(_truncate({1: F(1)}, None, 0), _truncate({2: F(1)}, None, 1))
-@example(_truncate({-1: F(1)}, 0, None), _truncate({-2: F(1)}, -1, None))
+@example(_truncate({(0, 1): F(1)}, None, 0),
+         _truncate({(0, 2): F(1)}, None, 1))
+@example(_truncate({(0, -1): F(1)}, 0, None),
+         _truncate({(0, -2): F(1)}, -1, None))
+# caps on both factors: the product is certified only through the
+# smaller one
+@example(_truncate({(2, 0): F(1)}, None, None, 3),
+         _truncate({(1, 0): F(1), (0, 0): F(1)}, None, None, 0))
 def test_product_certifies_only_cells_of_the_true_product(a, b):
     (full_a, ser_a), (full_b, ser_b) = a, b
     try:
@@ -134,22 +155,24 @@ def test_product_certifies_only_cells_of_the_true_product(a, b):
         event("uncertifiable")
         return
     truth = {}
-    for ea, ca in full_a.items():
-        for eb, cb in full_b.items():
-            truth[ea + eb] = truth.get(ea + eb, 0) + ca * cb
-    # both factors are supported in [-3, 3], so beyond +-6 the truth is 0
-    for e in range(-20, 21):
-        if prod.known((e,)):
-            assert prod.coeff((e,)) == truth.get(e, 0), e
+    for (ya, xa), ca in full_a.items():
+        for (yb, xb), cb in full_b.items():
+            cell = (ya + yb, xa + xb)
+            truth[cell] = truth.get(cell, 0) + ca * cb
+    for cell in _PRODUCT_CELLS:
+        if prod.known(cell):
+            assert prod.coeff(cell) == truth.get(cell, 0), cell
 
 
 def _certified_agree(x, y):
     """x and y agree on every cell both certify; the number compared."""
     compared = 0
-    for e in range(-30, 31):
-        if x.known((e,)) and y.known((e,)):
-            assert x.coeff((e,)) == y.coeff((e,)), e
-            compared += 1
+    for ey in range(-1, 11):
+        for ex in range(-30, 31):
+            cell = (ey, ex)
+            if x.known(cell) and y.known(cell):
+                assert x.coeff(cell) == y.coeff(cell), cell
+                compared += 1
     return compared
 
 
@@ -182,6 +205,16 @@ def test_product_distributes_over_add_on_certified_cells(a, b, c):
         event("uncertifiable")
         return
     event("compared" if _certified_agree(left, right) else "nothing shared")
+
+
+@pytest.mark.parametrize("op", [MultiSeries.add, MultiSeries.mul],
+                         ids=["add", "mul"])
+def test_series_over_different_variables_raise(op):
+    # an invariant, not an assert: it must hold under python -O too
+    a = constant_series((window_var("x", -2, 2),))
+    b = constant_series((window_var("z", -2, 2),))
+    with pytest.raises(ValueError, match="different variables"):
+        op(a, b)
 
 
 def test_taylor_on_polynomial():
@@ -472,14 +505,18 @@ def test_shared_correction_is_not_mutated_by_checks():
         for loc in locs:
             with pytest.raises(TypeError):
                 loc.body.terms[(0,) * 6] = F(1)
+    # so are the int tables of the sides: nested tuples of ints
+    scalars = _genfun_scalars(1, 1)
+    assert _genfun_scalars(1, 1) is scalars
+    hash(scalars)
 
 
 def test_commutator_genfun_hot_cache_matches_cold():
     v = mono(2)
     regularized_commutator_check(v, 1, 1, NEG_POWERS_Y2)
     hot = regularized_commutator_check(v, 1, 1, NEG_POWERS_Y1).to_json_dict()
-    for cache in (_plusplus_correction, _plusplus_pieces, _pair_weights,
-                  _lpq_mon, _exp_cells):
+    for cache in (_plusplus_correction, _plusplus_pieces, _genfun_scalars,
+                  _pair_weights, _lpq_mon, _exp_cells):
         cache.cache_clear()
     cold = regularized_commutator_check(v, 1, 1, NEG_POWERS_Y1).to_json_dict()
     assert _plusplus_pieces.cache_info().misses == 1
@@ -515,6 +552,161 @@ def test_plusplus_correction_matches_four_piece_sum(conv, window, ydeg):
         assert ser.x_ival == want[n].x_ival
         assert ser.tcap == want[n].tcap
         assert ser.neg_floor == want[n].neg_floor
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference of the generating-function sides
+# ---------------------------------------------------------------------------
+# The Fraction-vector construction that the int tables of
+# ``_genfun_scalars`` replaced, kept as their oracle: the sides are built as
+# certified ``MultiSeries`` from ``slot_pair_apply`` and a delta product
+# pinned by the x1 exponent, and compared with a ++ correction built
+# through the public ``LocalizedSeries`` operations.
+
+def _int_weight(c) -> int:
+    """c as an int, which it must be exactly."""
+    c = F(c)
+    if c.denominator != 1:
+        raise ValueError(f"weight {c} is not an int")
+    return c.numerator
+
+
+def _mul_delta_pinned(n_series, f, g, x1, x2, out_window, tcap):
+    """n_series(x2, y) * delta(e^f x1 / e^g x2) on the output box.
+
+    The delta contributes e^{n(f-g)} x1^n x2^{-n}; for an output cell the
+    x1 exponent pins n, so the x2 slice of n_series is shifted by n and
+    convolved with one exponential factor.  The factor's cells are taken
+    in order of degree, up to the budget tcap - tdeg left by each
+    n_series cell, with their coefficients times tcap! as int weights;
+    cells outside the certified x2 interval are never formed.
+    """
+    x1i, x2i = n_series.pos(x1), n_series.pos(x2)
+    lo, hi = out_window
+    n_lo, n_hi = n_series.x_ival[x2]
+    ival = dict(n_series.x_ival)
+    ival[x1] = (lo, hi)
+    ival[x2] = (n_lo - lo, n_hi - hi)
+    out = MultiSeries(n_series.varspecs, {}, ival, min(n_series.tcap, tcap))
+    x2_lo, x2_hi = ival[x2]
+    scale = factorial(tcap)
+    ncells = [(ncell, out.tcap - out.tdeg(ncell), vec)
+              for ncell, vec in n_series.terms.items()]
+    accs = {}                   # cell -> _axpy accumulator
+    for e1 in range(lo, hi + 1):
+        efactor = exp_linear_form(n_series.varspecs, {f: e1, g: -e1}, tcap)
+        ecells = sorted((out.tdeg(ycell), ycell, _int_weight(c * scale))
+                        for ycell, c in efactor.terms.items())
+        for ncell, budget, vec in ncells:
+            e2 = ncell[x2i] - e1
+            if not x2_lo <= e2 <= x2_hi:
+                continue
+            for deg, ycell, c in ecells:
+                if deg > budget:
+                    break
+                cell = [a + b for a, b in zip(ncell, ycell)]
+                cell[x1i] = e1
+                cell[x2i] = e2
+                _axpy(accs.setdefault(tuple(cell), {}), vec, c)
+    out.terms = {cell: _vec(acc, scale) for cell, acc in accs.items()}
+    return out._prune()
+
+
+def slot_pair_apply_series(a_form, b_form, xname, window, s):
+    """Apply the colon pair in a fresh window variable to every
+    coefficient of a vector-valued series."""
+    if s.tcap is None:
+        raise UsageError("series must carry a truncation cap")
+    xi = s.pos(xname)
+    lo, hi = window
+    ival = dict(s.x_ival)
+    ival[xname] = (lo, hi)
+    out = MultiSeries(s.varspecs, {}, ival, s.tcap, s.neg_floor)
+    for scell, vec in s.terms.items():
+        if scell[xi] != 0:
+            raise UsageError(f"series already involves {xname}")
+        budget = s.tcap - s.tdeg(scell)
+        part = slot_pair_apply(s.varspecs, a_form, b_form, xname, window, vec,
+                               budget)
+        for pcell, pvec in part.terms.items():
+            cell = tuple(a + b for a, b in zip(scell, pcell))
+            _add_into(out.terms, cell, pvec)
+    return out._prune()
+
+
+def _genfun_sides(v, w, d):
+    """The convention-free sides of the identity on v as Fraction-vector
+    series: the left side and the colon part of the right side."""
+    varspecs = _genfun_space(w, d)
+
+    # left side: (1/4) [colon pair at x1, colon pair at x2] v
+    q = slot_pair_apply(varspecs, {"y3": 1}, {"y4": 1}, "x2", (-w, w), v, d)
+    pq = slot_pair_apply_series({"y1": 1}, {"y2": 1}, "x1", (-w, w), q)
+    r = slot_pair_apply(varspecs, {"y1": 1}, {"y2": 1}, "x1", (-w, w), v, d)
+    qr = slot_pair_apply_series({"y3": 1}, {"y4": 1}, "x2", (-w, w), r)
+    lhs = pq.sub(qr).scale(F(1, 4))
+
+    # right side, colon parts: -(1/4) d_outer [slot series * delta]
+    rhs = MultiSeries(varspecs, {}, {"x1": (-w, w), "x2": (-w, w)}, d)
+    for outer, a_form, b_var, (f, g) in _RHS_TERMS:
+        n_series = slot_pair_apply(varspecs, a_form, {b_var: 1}, "x2",
+                                   (-2 * w, 2 * w), v, d + 1)
+        nd = _mul_delta_pinned(n_series, f, g, "x1", "x2", (-w, w), d + 1)
+        rhs = rhs.add(nd.diff(outer))
+    return lhs, rhs.scale(F(-1, 4))
+
+
+def _reference_report(v, lhs, rhs, conv, w, d, correction):
+    """One convention's report from the Fraction sides, with the expanded
+    ++ correction {n: series} acting on v as identity on x2 = -x1."""
+    dvar = conv.distinguished
+    floor_d = _genfun_floor(d)
+    varspecs = lhs.varspecs
+    pos = {vs.name: i for i, vs in enumerate(varspecs)}
+    x1i, x2i = pos["x1"], pos["x2"]
+    rep = VerificationReport(
+        identity="regularized-commutator-genfun",
+        parameters={"weight": v.max_weight(), "window": w, "ydeg": d,
+                    "convention": f"neg-powers-{dvar}",
+                    "dvar_floor": floor_d},
+    )
+    others = [n for n in ("y1", "y2", "y3", "y4") if n != dvar]
+
+    def in_region(cell):
+        if not (-w <= cell[x1i] <= w and -w <= cell[x2i] <= w):
+            return False
+        ed = cell[pos[dvar]]
+        rest = [cell[pos[n]] for n in others]
+        return (ed >= floor_d and all(e >= 0 for e in rest)
+                and ed + sum(rest) <= d)
+
+    candidates = set(lhs.terms) | set(rhs.terms)
+    if v:
+        for n, ser in correction.items():
+            for cell in ser.terms:
+                full = list(cell)
+                full[x1i] = n
+                full[x2i] = -n
+                candidates.add(tuple(full))
+    checked = sorted(c for c in candidates if in_region(c))
+    rep.bulk_passed += len(list(_region(conv, w, d))) - len(checked)
+    zero = FockVector()
+    for cell in checked:
+        lv = lhs.terms.get(cell, zero) if lhs.known(cell) else None
+        rv = rhs.terms.get(cell, zero) if rhs.known(cell) else None
+        if rv is not None and cell[x2i] == -cell[x1i]:
+            ser = correction[cell[x1i]]
+            ycell = cell[:4] + (0, 0)
+            if not ser.known(ycell):
+                rv = None
+            elif ycell in ser.terms:
+                rv = rv + v.scale(ser.terms[ycell])
+        key = _cell_key(varspecs, cell)
+        if lv is None or rv is None:
+            rep.add_uncertified(key)
+        else:
+            rep.add_cell(key, fock_str(lv), fock_str(rv))
+    return rep
 
 
 def _unbudgeted_delta_product(n_series, f, g, x1, x2, out_window, tcap):
@@ -658,7 +850,8 @@ def test_commutator_genfun_bulk_cells_are_certified_zeros(conv):
     correction = dict(_plusplus_correction(conv, w, d))
     for mon in basis(2):
         v = FockVector({mon: F(1)})
-        lhs, rhs = _genfun_sides(v, w, d)
+        lhs, rhs = _genfun_sides(v, w, d)          # the Fraction reference
+        int_lhs, int_rhs = _genfun_int_sides(v, w, d)[3:]
         rep = regularized_commutator_checks(v, w, d, (conv,))[0]
         listed = {c.key for c in rep.cells}
         region = list(_region(conv, w, d))
@@ -669,10 +862,57 @@ def test_commutator_genfun_bulk_cells_are_certified_zeros(conv):
                 continue
             assert lhs.known(cell) and rhs.known(cell), cell
             assert cell not in lhs.terms and cell not in rhs.terms, cell
+            assert cell not in int_lhs and cell not in int_rhs, cell
             if cell[5] == -cell[4]:
                 ser = correction[cell[4]]
                 ycell = cell[:4] + (0, 0)
                 assert ser.known(ycell) and ycell not in ser.terms, cell
+
+
+_ORACLE_VECTORS = [FockVector({mon: F(1)}) for mon in basis(2)] + [
+    mono(2) + mono(1, 1).scale(F(1, 2)) + vacuum().scale(F(1, 3))]
+
+
+@pytest.mark.parametrize("ydeg", [1, 2])
+def test_int_sides_match_fraction_sides(ydeg):
+    # every candidate cell of both conventions, against the Fraction sides
+    # and a ++ correction expanded term by term; the last vector has
+    # denominators 2 and 3, so a scale without den(v) shows
+    w = 2
+    convs = (NEG_POWERS_Y1, NEG_POWERS_Y2)
+    corrections = {conv: _four_piece_correction(conv, w, ydeg)
+                   for conv in convs}
+    for v in _ORACLE_VECTORS:
+        lhs, rhs = _genfun_sides(v, w, ydeg)
+        got = regularized_commutator_checks(v, w, ydeg, convs)
+        for conv, rep in zip(convs, got):
+            want = _reference_report(v, lhs, rhs, conv, w, ydeg,
+                                     corrections[conv])
+            assert rep.cells and rep.to_json_dict() == want.to_json_dict()
+
+
+def test_correction_off_the_scale_raises(monkeypatch):
+    # a correction coefficient that is not a multiple of 1/E must raise,
+    # never be floored onto the scale
+    real = series._plusplus_correction
+
+    def off_scale(conv, window, ydeg):
+        return tuple((n, MultiSeries(ser.varspecs,
+                                     {c: x / 7 for c, x in ser.terms.items()},
+                                     ser.x_ival, ser.tcap, ser.neg_floor))
+                     for n, ser in real(conv, window, ydeg))
+
+    monkeypatch.setattr(series, "_plusplus_correction", off_scale)
+    with pytest.raises(ValueError):
+        regularized_commutator_checks(mono(1), 2, 1, (NEG_POWERS_Y1,))
+
+
+def test_sides_on_too_coarse_a_scale_raise(monkeypatch):
+    # den(v) left out of the scale: v itself is off it
+    monkeypatch.setattr(series, "_den", lambda v: 1)
+    with pytest.raises(ValueError):
+        regularized_commutator_checks(_ORACLE_VECTORS[-1], 1, 1,
+                                      (NEG_POWERS_Y1,))
 
 
 def test_multiseries_json_records():

@@ -260,6 +260,20 @@ def test_enlarged_window_keeps_certified_cells(check, u, v, w):
     assert rep_small.passed and rep_large.passed
 
 
+@pytest.mark.parametrize("u, v, w", _STATES)
+def test_larger_ydeg_keeps_dilated_cells(u, v, w):
+    # ydeg only floors the composition order, r_order = max(ydeg, top of
+    # x0 + wt u + wt v + 1): 4 stays below that order on this box and 9
+    # lies above it, and neither may change a cell
+    win = {"x0": (-2, 2), "x1": (-2, 2), "x2": (-2, 2)}
+    base = dilated_jacobi_check(u, v, w, win, 2)
+    assert base.cells and base.passed
+    for ydeg in (4, 9):
+        rep = dilated_jacobi_check(u, v, w, win, ydeg)
+        assert rep.cells == base.cells, ydeg
+        assert rep.bulk_passed == base.bulk_passed, ydeg
+
+
 @pytest.mark.parametrize("check", [jacobi_check, _dilated(2)],
                          ids=["jacobi", "dilated"])
 def test_mode_tables_leave_shared_cache_intact(check):
