@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from .fock import FockVector, basis, vacuum
 from .quadratic import (FitError, WindowError, verify_diff_op_projection,
                         verify_modified_virasoro, verify_monomial_purity,
                         verify_virasoro)
-from .report import SCHEMA_VERSION, VerificationReport
+from .report import SCHEMA_VERSION, VerificationReport, json_text
 from .series import (UncertifiedError, contraction_check, convention,
                      regularized_commutator_checks)
 from .voa import (VOAConstants, axiom_suite, dilated_jacobi_check,
@@ -45,9 +44,10 @@ def _basis_vectors(max_weight):
 def _merge_reports(identity, parameters, labelled):
     merged = VerificationReport(identity=identity, parameters=parameters)
     for label, rep in labelled:
+        # relabelled in place: no caller reads a child's cells after the merge
         for cell in rep.cells:
-            merged.cells.append(type(cell)(f"{label} | {cell.key}", cell.lhs,
-                                           cell.rhs, cell.status))
+            cell.key = f"{label} | {cell.key}"
+        merged.cells.extend(rep.cells)
         merged.bulk_passed += rep.bulk_passed
         for k, v in rep.data.items():
             merged.data[f"{label} | {k}"] = v
@@ -341,8 +341,7 @@ def main(argv=None) -> int:
         # a named precondition; any other exception is a bug and raises
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = (json.dumps(payload, indent=2, sort_keys=True) + "\n"
-           if args.format == "json" else text + "\n")
+    out = (json_text(payload) if args.format == "json" else text) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(out)

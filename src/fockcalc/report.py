@@ -9,7 +9,11 @@ certified (requested outside a certified window) are recorded as
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 PASS = "pass"
 FAIL = "fail"
@@ -47,8 +51,9 @@ class VerificationReport:
     @property
     def counts(self):
         total = len(self.cells) + self.bulk_passed
-        passed = sum(1 for c in self.cells if c.status == PASS) + self.bulk_passed
-        failed = sum(1 for c in self.cells if c.status == FAIL)
+        statuses = Counter(map(attrgetter("status"), self.cells))
+        passed = statuses[PASS] + self.bulk_passed
+        failed = statuses[FAIL]
         uncert = total - passed - failed
         return {"total": total, "passed": passed, "failed": failed,
                 "uncertified": uncert}
@@ -86,3 +91,29 @@ class VerificationReport:
 
     def __str__(self):
         return self.summary_line()
+
+
+_CELL_KEYS = {"key", "lhs", "pass", "rhs", "status"}
+
+
+def json_text(payload):
+    """``json.dumps(payload, indent=2, sort_keys=True)``, with a top-level
+    ``cells`` list of ``to_json_dict`` cells written here: with ``indent``
+    set, ``json.dumps`` runs its pure-Python encoder, and reports are
+    mostly cells.  A cell of any other shape raises ``ValueError``."""
+    if "cells" not in payload:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    items = []
+    for c in payload["cells"]:
+        if c.keys() != _CELL_KEYS or type(c["pass"]) is not bool:
+            raise ValueError(f"not a report cell: {c!r}")
+        items.append(f'\n    {{\n      "key": {_quote(c["key"])},\n'
+                     f'      "lhs": {_quote(c["lhs"])},\n'
+                     f'      "pass": {"true" if c["pass"] else "false"},\n'
+                     f'      "rhs": {_quote(c["rhs"])},\n'
+                     f'      "status": {_quote(c["status"])}\n    }}')
+    cells = f"[{','.join(items)}\n  ]" if items else "[]"
+    # only top-level keys sit two spaces in, as no string holds a newline
+    head, tail = json.dumps({**payload, "cells": 0}, indent=2,
+                            sort_keys=True).split('\n  "cells": 0', 1)
+    return f'{head}\n  "cells": {cells}{tail}'

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,21 @@ def test_output_file(tmp_path):
     assert out.stdout == ""
     data = json.loads(path.read_text())
     assert data["values"][1] == [-1, "-1/12"]
+
+
+def test_output_file_matches_stdout_and_golden(tmp_path):
+    # a report with cells: the file, stdout and the golden agree byte for
+    # byte
+    path = tmp_path / "report.json"
+    args = ["verify-jacobi", "--weight", "1", "--window", "2"]
+    to_file = subprocess.run(CMD + ["--format", "json", "--output", str(path)]
+                             + args, capture_output=True)
+    to_stdout = subprocess.run(CMD + ["--format", "json"] + args,
+                               capture_output=True)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    golden = Path(__file__).parent / "golden" / "jacobi_w1_win2.json"
+    assert path.read_bytes() == to_stdout.stdout == golden.read_bytes()
 
 
 @pytest.mark.parametrize("args", [
