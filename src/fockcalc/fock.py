@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 
 from .exact import ZERO, UsageError, _add_into, rat_str
@@ -43,11 +43,6 @@ class FockVector:
 
     def __init__(self, terms=None):
         self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def from_monomial(cls, mon, coeff=1):
-        coeff = Fraction(coeff)
-        return cls({monomial(mon): coeff} if coeff else {})
 
     def __bool__(self):
         return bool(self.terms)
@@ -107,35 +102,6 @@ class FockVector:
                 for mon, c in sorted(self.terms.items())]
 
 
-def _axpy(acc: dict, vec: FockVector, c) -> None:
-    """acc += c * vec, in place, for an int or Fraction c.
-
-    acc maps a monomial to an unreduced [numerator, denominator] pair of
-    ints, so no Fraction is built per term; ``_vec`` reduces each sum
-    once and drops the zeros.  vec itself is never written, and its
-    coefficients may be ints or Fractions.
-    """
-    cn, cd = c.numerator, c.denominator
-    for mon, x in vec.terms.items():
-        xn, xd = cn * x.numerator, cd * x.denominator
-        cur = acc.get(mon)
-        if cur is None:
-            acc[mon] = [xn, xd]
-        elif cur[1] % xd == 0:
-            cur[0] += xn * (cur[1] // xd)
-        else:                       # bring both to the lcm denominator
-            g = gcd(cur[1], xd)
-            cur[0] = cur[0] * (xd // g) + xn * (cur[1] // g)
-            cur[1] = cur[1] // g * xd
-
-
-def _vec(acc: dict, den: int = 1) -> FockVector:
-    """The vector of an ``_axpy`` accumulator divided by the int den, zero
-    coefficients dropped; every coefficient is a Fraction."""
-    return FockVector({mon: Fraction(n, d * den)
-                       for mon, (n, d) in acc.items() if n})
-
-
 def _den(v: FockVector) -> int:
     """The lcm of v's coefficient denominators; 1 for the zero vector."""
     return lcm(*[c.denominator for c in v.terms.values()])
@@ -165,7 +131,12 @@ def _off_scale(terms: dict, den: int) -> FockVector:
 
 
 def _iaxpy(acc: dict, terms, c: int) -> None:
-    """acc += c * terms, in place, for int term maps; zero sums are kept."""
+    """acc += c * terms, in place, for int term maps; zero sums are kept.
+
+    The one accumulation protocol of the package: each vector goes onto
+    an int scale with ``_on_scale``, the sum is taken here, and the total
+    is divided once with ``_off_scale``.
+    """
     for mon, x in terms.items():
         acc[mon] = acc.get(mon, 0) + c * x
 

@@ -24,9 +24,10 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .exact import ZERO, UsageError, _add_into, rat_str, zeta_nonpositive
-from .fock import (FockVector, LaurentPolyVector, _axpy, _insert_part,
-                   _remove_part, _vec, diff_op_apply, fock_str, h_apply,
-                   weight_basis, weight_index)
+from .fock import (FockVector, LaurentPolyVector, _den, _iaxpy,
+                   _insert_part, _off_scale, _on_scale, _remove_part,
+                   diff_op_apply, fock_str, h_apply, weight_basis,
+                   weight_index)
 from .report import FAIL, PASS, VerificationReport
 
 
@@ -81,14 +82,15 @@ def _lpq_mon(p: int, q: int, n: int, mon: tuple) -> FockVector:
 
 def Lr_apply(r: int, n: int, v: FockVector) -> FockVector:
     """(1/2) sum_j j^r (n-j)^r :h(j)h(n-j): v, from the cached doubled
-    action 2 L^(r)(n) = ``_lpq_mon(r, r, n, .)`` of each monomial of v;
-    every coefficient is a Fraction."""
+    action 2 L^(r)(n) = ``_lpq_mon(r, r, n, .)`` of each monomial of v,
+    summed in ints on the scale 2 den(v); every coefficient is a Fraction."""
     if r < 0:
         raise UsageError("r must be >= 0")
+    d = _den(v)
     acc = {}
-    for mon, c in v.terms.items():
-        _axpy(acc, _lpq_mon(r, r, n, mon), c)
-    return _vec(acc, 2)
+    for mon, c in _on_scale(v, d).terms.items():
+        _iaxpy(acc, _lpq_mon(r, r, n, mon).terms, c)
+    return _off_scale(acc, 2 * d)
 
 
 def L_apply(n: int, v: FockVector) -> FockVector:
@@ -231,9 +233,10 @@ def _verify_bracket(identity, m, n, max_weight, shift, central):
         for mon in weight_basis(w):
             lhs = FockVector({out: Fraction(c, 4) for out, c
                               in _bracket_mon(0, 0, m, n, mon).items()})
-            acc = {mon: [2 * scalar.numerator, scalar.denominator]}
-            _axpy(acc, _lpq_mon(0, 0, m + n, mon), m - n)
-            rhs = _vec(acc, 2)
+            acc = {mon: 2 * scalar.numerator}
+            _iaxpy(acc, _lpq_mon(0, 0, m + n, mon).terms,
+                   (m - n) * scalar.denominator)
+            rhs = _off_scale(acc, 2 * scalar.denominator)
             # equal vectors render to one string
             text = fock_str(lhs)
             rep.add_cell(list(mon), text,
@@ -399,13 +402,16 @@ def central_decompose(r: int, s: int, m: int, n: int, max_weight: int,
     # the defect of the fit on each monomial, as an independent check;
     # the fit's identity part is the scalar plus the fitted zeta shifts
     ident = scalar + sum(c * sh for c, sh in zip(op_part, shifts))
+    # summed in ints on the scale 4 d, d the lcm of the fit's denominators
+    d = lcm(ident.denominator, *(c.denominator for c in op_part))
+    op_ints = [c.numerator * (d // c.denominator) for c in op_part]
     residual = {}
     for mon, (comm, fams) in images.items():
-        acc = {mon: [-4 * ident.numerator, ident.denominator]}
-        _axpy(acc, FockVector(comm), 1)
-        for c, f in zip(op_part, fams):
-            _axpy(acc, f, -2 * c)
-        if diff := _vec(acc, 4):
+        acc = {mon: -4 * ident.numerator * (d // ident.denominator)}
+        _iaxpy(acc, comm, d)
+        for c, f in zip(op_ints, fams):
+            _iaxpy(acc, f.terms, -2 * c)
+        if diff := _off_scale(acc, 4 * d):
             residual[mon] = diff
     return CentralDecomposition(r, s, m, n, regularized, op_part, scalar,
                                 residual, unique)

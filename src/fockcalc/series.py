@@ -35,8 +35,8 @@ from math import factorial, lcm, prod
 from types import MappingProxyType
 
 from .exact import ZERO, UsageError, _add_into, bernoulli
-from .fock import (FockVector, _axpy, _den, _iaxpy, _int_str, _nonzero,
-                   _on_scale, _vec, fock_str, h_apply)
+from .fock import (FockVector, _den, _iaxpy, _int_str, _nonzero,
+                   _off_scale, _on_scale, fock_str, h_apply)
 from .quadratic import _lpq_mon, ordered_pair_apply
 from .report import VerificationReport
 
@@ -772,9 +772,8 @@ def _pair_table(p: int, q: int, n: int, nums) -> FockVector:
         return _lpq_mon(p, q, n, nums[0][0])
     terms = {}
     for mon, c in nums:
-        for m, x in _lpq_mon(p, q, n, mon).terms.items():
-            _add_into(terms, m, c * x)
-    return FockVector(terms)
+        _iaxpy(terms, _lpq_mon(p, q, n, mon).terms, c)
+    return FockVector(_nonzero(terms))
 
 
 def slot_pair_apply(varspecs, a_form: dict, b_form: dict, xname: str,
@@ -800,9 +799,8 @@ def slot_pair_apply(varspecs, a_form: dict, b_form: dict, xname: str,
     names = [varspecs[i].name for i in trunc]
     weights = _pair_weights(tuple(a_form.get(n, 0) for n in names),
                             tuple(b_form.get(n, 0) for n in names), tcap)
-    den_v = lcm(*(c.denominator for c in v.terms.values()))
-    nums = [(mon, c.numerator * (den_v // c.denominator))
-            for mon, c in v.terms.items()]
+    den_v = _den(v)
+    nums = tuple(_on_scale(v, den_v).terms.items())
     for e in range(lo, hi + 1):
         tables = {}
         for alpha, den, pq_weights in weights:
@@ -811,8 +809,8 @@ def slot_pair_apply(varspecs, a_form: dict, b_form: dict, xname: str,
                 table = tables.get((p, q))
                 if table is None:
                     table = tables[p, q] = _pair_table(p, q, -e, nums)
-                _axpy(acc, table, w)
-            vec = _vec(acc, den * den_v)
+                _iaxpy(acc, table.terms, w)
+            vec = _off_scale(acc, den * den_v)
             if vec:
                 cell = [0] * len(varspecs)
                 for i, x in zip(trunc, alpha):

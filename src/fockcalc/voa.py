@@ -22,9 +22,9 @@ from math import factorial, lcm
 from types import MappingProxyType
 
 from .exact import PowerSeries, _add_into
-from .fock import (FockVector, _axpy, _den, _iaxpy, _insert_part, _int_str,
-                   _nonzero, _off_scale, _on_scale, _remove_part, _vec,
-                   fock_str, vacuum, weight_basis)
+from .fock import (FockVector, _den, _iaxpy, _insert_part, _int_str,
+                   _nonzero, _off_scale, _on_scale, _remove_part, fock_str,
+                   vacuum, weight_basis)
 from .quadratic import L_apply
 from .report import FAIL, PASS, VerificationReport
 from .series import MultiSeries, comb_int, window_var
@@ -145,29 +145,17 @@ def X_apply(v: FockVector, w: FockVector, n: int) -> FockVector:
 
 @functools.lru_cache(maxsize=None)
 def _zhu_scalar_series(a: int, j: int, order: int) -> tuple:
-    """e^{ay} (e^y - 1)^{-j-1} through y^order, as ((exp, Fraction), ...).
-
-    For j >= 0 the negative power is y^{-j-1} times the inverse of a unit
-    series; exponents start at -j-1.
+    """e^{ay} (e^y - 1)^{-j-1} through y^order, as ((exp, Fraction), ...),
+    for j >= -order-1: y^{-j-1} times e^{ay} and the (-j-1)-th power of
+    the unit series (e^y - 1)/y, so exponents start at -j-1.
     """
-    p = -j - 1
-    if p >= 0:
-        work = order
-        em1 = PowerSeries({m: Fraction(1, factorial(m)) for m in range(1, work + 1)},
-                          work)
-        ser = em1.pow_int(p) * _exp_ps(a, work)
-        return tuple(sorted(ser.coeffs.items()))
-    m = -p
-    work = order + m
-    unit = PowerSeries({i: Fraction(1, factorial(i + 1)) for i in range(work + 1)},
-                       work)
-    ser = unit.pow_int(-m) * _exp_ps(a, work)
-    return tuple(sorted((t - m, c) for t, c in ser.coeffs.items() if t - m <= order))
-
-
-def _exp_ps(a: int, order: int) -> PowerSeries:
-    return PowerSeries({m: Fraction(a ** m, factorial(m)) for m in range(order + 1)},
-                       order)
+    work = order + j + 1
+    unit = PowerSeries({i: Fraction(1, factorial(i + 1))
+                        for i in range(work + 1)}, work)
+    exp = PowerSeries({i: Fraction(a ** i, factorial(i))
+                       for i in range(work + 1)}, work)
+    ser = unit.pow_int(-j - 1) * exp
+    return tuple(sorted((t - j - 1, c) for t, c in ser.coeffs.items()))
 
 
 def zhu_bracket_apply(u: FockVector, v: FockVector, order: int) -> MultiSeries:
@@ -175,19 +163,28 @@ def zhu_bracket_apply(u: FockVector, v: FockVector, order: int) -> MultiSeries:
     state, as an exact Laurent series in y through y^order.
 
     Finitely many negative powers occur (bounded by the top mode of u on
-    v); the series is certified for all exponents <= order.
+    v); the series is certified for all exponents <= order.  The modes
+    u_j v of each weight component are int-valued on the scale den(u)
+    den(v); they are summed in ints against the scalar series on the
+    scale D den(u) den(v), D the lcm of the series' denominators, and
+    divided by it once.
     """
     varspecs = (window_var("y", -(order + 1), order),)
-    terms: dict = {}
-    for a, comp in u.weight_components():
-        jmax = a + v.max_weight() - 1
-        for j in range(-(order + 1), jmax + 1):
-            g = mode_apply(comp, j, v)
-            if not g:
-                continue
-            for e, c in _zhu_scalar_series(a, j, order):
-                _axpy(terms.setdefault((e,), {}), g, c)
-    terms = {cell: vec for cell, acc in terms.items() if (vec := _vec(acc))}
+    du, dv = _den(u), _den(v)
+    vi = _on_scale(v, dv)
+    pieces = []
+    for a, comp in _weight_field(u, du):
+        for j in range(-(order + 1), a + v.max_weight()):
+            if g := mode_apply(comp, j, vi).terms:
+                pieces.append((g, _zhu_scalar_series(a, j, order)))
+    ds = lcm(*(c.denominator for _, ser in pieces for _, c in ser))
+    acc: dict = {}
+    for g, ser in pieces:
+        for e, c in ser:
+            _iaxpy(acc.setdefault((e,), {}), g,
+                   c.numerator * (ds // c.denominator))
+    terms = {cell: vec for cell, ints in acc.items()
+             if (vec := _off_scale(ints, ds * du * dv))}
     return MultiSeries(varspecs, terms, {"y": (None, order)})
 
 
@@ -509,14 +506,19 @@ def jacobi_check(u: FockVector, v: FockVector, w: FockVector,
 def _compose_zhu_with_log(u: FockVector, v: FockVector,
                           r_order: int) -> MappingProxyType:
     """Y[u, -y01]v with y01 = log(1 - x0/x1), expanded exactly in the
-    ratio r = x0/x1.
+    ratio r = x0/x1 through r^r_order.
 
-    Substitutes y = sum_{k>=1} r^k / k into the Laurent expansion of the
-    change-of-variables operator; negative powers of y become r^{-m}
-    times inverse unit series, expanded in nonnegative powers of r beyond
-    the leading term.  Returns {r-exponent: FockVector}, memoised on the
-    terms of u and v, so every w of one (u, v) shares it; the mapping and
-    its vectors are read-only.
+    Zhu's change of variables gives it in closed form: for u of weight a,
+    Y[u, -log(1 - r)]v = sum_n r^{-n-1} (1 - r)^{n+1-a} u_n v, so
+
+        g_q = sum (-1)^k C(n+1-a, k) u_n v  over -n-1+k = q,
+
+    with n from -r_order-1 to a + wt v - 1 and one ``mode_apply`` per
+    weight component of u.  The weights are int binomials, so the sum is
+    taken in ints on the scale den(u) den(v) and divided by it once.
+    Returns {r-exponent: FockVector}, memoised on the terms of u and v,
+    so every w of one (u, v) shares it; the mapping and its vectors are
+    read-only.
     """
     return _compose_zhu_frozen(frozenset(u.terms.items()),
                                frozenset(v.terms.items()), r_order)
@@ -525,44 +527,20 @@ def _compose_zhu_with_log(u: FockVector, v: FockVector,
 @functools.lru_cache(maxsize=None)
 def _compose_zhu_frozen(u_terms: frozenset, v_terms: frozenset,
                         r_order: int) -> MappingProxyType:
-    zb = zhu_bracket_apply(FockVector(dict(u_terms)),
-                           FockVector(dict(v_terms)), r_order)
-    m_max = max((-p for (p,) in zb.terms if p < 0), default=0)
-    work = r_order + m_max
-    ylog = PowerSeries({k: Fraction(1, k) for k in range(1, r_order + 1)},
-                       r_order)
-    unit = PowerSeries({k - 1: Fraction(1, k) for k in range(1, work + 2)},
-                       work)               # y / r as a series in r
-    inv_unit = unit.inverse()
-    out: dict = {}
-
-    # the power closures fill their lists by iteration: a closure that
-    # called itself would be a reference cycle, freed only by a gc pass
-    powers = [PowerSeries.one(r_order)]
-
-    def pos_power(p):
-        while len(powers) <= p:
-            powers.append(powers[-1] * ylog)
-        return powers[p]
-
-    inv_units = [PowerSeries.one(work)]
-
-    def inv_unit_power(m):
-        while len(inv_units) <= m:
-            inv_units.append(inv_units[-1] * inv_unit)
-        return inv_units[m]
-
-    for (p,), vec in sorted(zb.terms.items()):
-        if p >= 0:
-            for t, c in pos_power(p).coeffs.items():
-                _axpy(out.setdefault(t, {}), vec, c)
-        else:
-            m = -p
-            for t, c in inv_unit_power(m).coeffs.items():
-                if t - m <= r_order:
-                    _axpy(out.setdefault(t - m, {}), vec, c)
-    return MappingProxyType({q: FockVector(MappingProxyType(vec.terms))
-                             for q, acc in out.items() if (vec := _vec(acc))})
+    u, v = FockVector(dict(u_terms)), FockVector(dict(v_terms))
+    du, dv = _den(u), _den(v)
+    vi = _on_scale(v, dv)
+    acc: dict = {}
+    for a, comp in _weight_field(u, du):
+        for n in range(-r_order - 1, a + v.max_weight()):
+            if un := mode_apply(comp, n, vi).terms:
+                for k in range(r_order + n + 2):      # q = k - n - 1
+                    if c := comb_int(n + 1 - a, k) * (-1) ** k:
+                        _iaxpy(acc.setdefault(k - n - 1, {}), un, c)
+    return MappingProxyType({
+        q: FockVector(MappingProxyType(vec.terms))
+        for q, ints in sorted(acc.items())
+        if (vec := _off_scale(ints, du * dv))})
 
 
 def _dilated_lhs_cell(u, v, w, ww, a0, a1, a2) -> FockVector:

@@ -1,26 +1,30 @@
-"""The mode actions and the Jacobi cells on one integer scale, against
-the Fraction code they replaced.
+"""The mode actions, the change-of-variables states and the Jacobi cells
+on one integer scale, against the Fraction code they replaced.
 
-The reference below is the Fraction form of the mode actions and of the
-cell functions: ``_mode_mon`` tables summed through ``_axpy`` and
-``_vec``.  ``mode_apply`` and ``X_apply`` must match it on every state,
-and every cell of both identities must render to the same strings and the
-same verdict, with every unlisted cell zero on both sides.
+The reference below is the Fraction form of the mode actions, of the
+change-of-variables operator and its ratio expansion, and of the cell
+functions: ``_mode_mon`` tables and series coefficients summed as plain
+Fractions.  ``mode_apply``, ``X_apply``, ``zhu_bracket_apply`` and
+``_compose_zhu_with_log`` must match it on every state, and every cell of
+both identities must render to the same strings and the same verdict,
+with every unlisted cell zero on both sides.
 """
 
 import functools
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 from fockcalc import voa
-from fockcalc.fock import (FockVector, _axpy, _off_scale, _on_scale, _vec,
-                           basis, fock_str, monomial, vacuum)
+from fockcalc.exact import PowerSeries, _add_into
+from fockcalc.fock import (FockVector, _off_scale, _on_scale, basis,
+                           fock_str, monomial, vacuum)
 from fockcalc.report import FAIL, PASS
-from fockcalc.series import comb_int
+from fockcalc.series import MultiSeries, comb_int, window_var
 from fockcalc.voa import (VOAConstants, X_apply, _compose_zhu_with_log,
                           _mode_mon, dilated_jacobi_check, jacobi_check,
-                          mode_apply)
+                          mode_apply, zhu_bracket_apply)
 
 H = FockVector({(1,): F(1)})
 OMEGA = VOAConstants.omega()
@@ -33,19 +37,26 @@ BOX = 3
 YDEG = 3
 
 
+def _add_scaled(acc, vec, c):
+    """acc += c * vec as plain Fractions, zero sums dropped."""
+    if c:
+        for mon, x in vec.terms.items():
+            _add_into(acc, mon, x * F(c))
+
+
 def _ref_mode_apply(state, n, w):
     acc = {}
     for smon, sc in state.terms.items():
         for wmon, wc in w.terms.items():
-            _axpy(acc, _mode_mon(smon, n, wmon), sc * wc)
-    return _vec(acc)
+            _add_scaled(acc, _mode_mon(smon, n, wmon), sc * wc)
+    return FockVector(acc)
 
 
 def _ref_X_apply(v, w, n):
     acc = {}
     for a, comp in v.weight_components():
-        _axpy(acc, _ref_mode_apply(comp, a + n - 1, w), 1)
-    return _vec(acc)
+        _add_scaled(acc, _ref_mode_apply(comp, a + n - 1, w), 1)
+    return FockVector(acc)
 
 
 MODE_STATES = list(STATES.values()) + W_STATES + [
@@ -72,6 +83,85 @@ def test_mode_actions_keep_int_values_on_the_scale_one():
     assert all(type(c) is F for c in half.terms.values())
 
 
+def _ref_exp(a, order):
+    return PowerSeries({m: F(a ** m, factorial(m)) for m in range(order + 1)},
+                       order)
+
+
+def _ref_zhu_scalar_series(a, j, order):
+    """e^{ay} (e^y - 1)^{-j-1} through y^order, as ((exp, Fraction), ...);
+    for j >= 0 the negative power is y^{-j-1} times the inverse of a unit
+    series."""
+    p = -j - 1
+    if p >= 0:
+        em1 = PowerSeries({m: F(1, factorial(m)) for m in range(1, order + 1)},
+                          order)
+        return sorted((em1.pow_int(p) * _ref_exp(a, order)).coeffs.items())
+    m = -p
+    work = order + m
+    unit = PowerSeries({i: F(1, factorial(i + 1)) for i in range(work + 1)},
+                       work)
+    ser = unit.pow_int(-m) * _ref_exp(a, work)
+    return sorted((t - m, c) for t, c in ser.coeffs.items() if t - m <= order)
+
+
+def _ref_zhu_bracket_apply(u, v, order):
+    """Y[u, y]v through y^order: each mode u_j v of each weight component
+    of u times the scalar series of its weight and index."""
+    terms = {}
+    for a, comp in u.weight_components():
+        for j in range(-(order + 1), a + v.max_weight()):
+            g = _ref_mode_apply(comp, j, v)
+            if g:
+                for e, c in _ref_zhu_scalar_series(a, j, order):
+                    _add_scaled(terms.setdefault((e,), {}), g, c)
+    return MultiSeries((window_var("y", -(order + 1), order),),
+                       {cell: FockVector(acc) for cell, acc in terms.items()
+                        if acc},
+                       {"y": (None, order)})
+
+
+def _ref_compose_zhu(u, v, r_order):
+    """Y[u, -log(1 - r)]v through r^r_order, by substituting
+    y = sum_{k>=1} r^k / k into the Laurent series of Y[u, y]v: negative
+    powers of y become r^{-m} times powers of the inverse unit series r/y."""
+    zb = _ref_zhu_bracket_apply(u, v, r_order)
+    m_max = max((-p for (p,) in zb.terms if p < 0), default=0)
+    work = r_order + m_max
+    ylog = PowerSeries({k: F(1, k) for k in range(1, r_order + 1)}, r_order)
+    inv_unit = PowerSeries({k - 1: F(1, k) for k in range(1, work + 2)},
+                           work).inverse()
+    out = {}
+    for (p,), vec in zb.terms.items():
+        if p >= 0:
+            for t, c in ylog.pow_int(p).coeffs.items():
+                _add_scaled(out.setdefault(t, {}), vec, c)
+        else:
+            for t, c in inv_unit.pow_int(-p).coeffs.items():
+                if t + p <= r_order:
+                    _add_scaled(out.setdefault(t + p, {}), vec, c)
+    return {q: FockVector(acc) for q, acc in out.items() if acc}
+
+
+# denominators 2, 3, 4, 5, 6 and 7; the last two states mix weights
+ZHU_STATES = [vacuum(), H, OMEGA, W_STATES[-1], MODE_STATES[-1],
+              FockVector({(): F(3, 7), (3,): F(1, 2), (1, 1): F(5, 3)})]
+
+
+@pytest.mark.parametrize("r_order", [2, 5, 8, 10])
+def test_closed_form_states_match_the_series_composition(r_order):
+    for u in ZHU_STATES:
+        for v in ZHU_STATES:
+            got = _compose_zhu_with_log(u, v, r_order)
+            assert dict(got) == _ref_compose_zhu(u, v, r_order), (u, v)
+            assert all(type(c) is F and c
+                       for g in got.values() for c in g.terms.values())
+            zb, want = (zhu_bracket_apply(u, v, r_order),
+                        _ref_zhu_bracket_apply(u, v, r_order))
+            assert zb.terms == want.terms, (u, v)
+            assert zb.x_ival == want.x_ival
+
+
 class _RefTables:
     def __init__(self, coef, u, v, w, u_reach, v_reach):
         self.u_reach, self.v_reach = u_reach, v_reach
@@ -93,8 +183,8 @@ def _ref_lhs_cell(tab, a0, a1, a2):
         for k in range(kmax + 1):
             c = comb_int(n, k) * (-1) ** k * sign
             if c and inner(e_in - k):
-                _axpy(acc, outer(e_out - n + k, e_in - k), c)
-    return _vec(acc)
+                _add_scaled(acc, outer(e_out - n + k, e_in - k), c)
+    return FockVector(acc)
 
 
 def _ref_jacobi_rhs_cell(uv, iterate, top, a0, a1, a2):
@@ -103,8 +193,8 @@ def _ref_jacobi_rhs_cell(uv, iterate, top, a0, a1, a2):
         k = a0 + j + 1
         c = comb_int(a0 + a1 + j + 1, k) * (-1) ** k
         if c and uv(j):
-            _axpy(acc, iterate(j, -(a0 + a1 + a2 + j + 3)), c)
-    return _vec(acc)
+            _add_scaled(acc, iterate(j, -(a0 + a1 + a2 + j + 3)), c)
+    return FockVector(acc)
 
 
 def _ref_dilated_rhs_cell(g_by_q, q_min, gw, a0, a1, a2):
@@ -117,8 +207,8 @@ def _ref_dilated_rhs_cell(g_by_q, q_min, gw, a0, a1, a2):
     for k in range(kmax + 1):
         c = comb_int(n, k) * (-1) ** k
         if c and a0 - k in g_by_q:
-            _axpy(acc, gw(a0 - k, c2), c)
-    return _vec(acc)
+            _add_scaled(acc, gw(a0 - k, c2), c)
+    return FockVector(acc)
 
 
 def _ref_jacobi(u, v, w):
@@ -134,7 +224,7 @@ def _ref_jacobi(u, v, w):
 
 def _ref_dilated(u, v, w):
     wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
-    g = _compose_zhu_with_log(u, v, max(YDEG, BOX + wu + wv + 1))
+    g = _ref_compose_zhu(u, v, max(YDEG, BOX + wu + wv + 1))
     q_min = min(g, default=0)
     tab = _RefTables(lambda s, e, t: _ref_X_apply(s, t, -e), u, v, w, ww, ww)
     gw = functools.cache(lambda q, c: _ref_X_apply(g[q], w, -c))

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from fockcalc import series
 from fockcalc.exact import UsageError, _add_into
-from fockcalc.fock import (FockVector, _axpy, _vec, basis, fock_str, monomial,
-                          vacuum)
+from fockcalc.fock import FockVector, basis, fock_str, monomial, vacuum
 from fockcalc.quadratic import (Lbar_apply, Lr_apply, L_apply, _lpq_mon,
                                 ordered_pair_apply)
 from fockcalc.report import VerificationReport
@@ -592,7 +591,7 @@ def _mul_delta_pinned(n_series, f, g, x1, x2, out_window, tcap):
     scale = factorial(tcap)
     ncells = [(ncell, out.tcap - out.tdeg(ncell), vec)
               for ncell, vec in n_series.terms.items()]
-    accs = {}                   # cell -> _axpy accumulator
+    accs = {}                   # cell -> {monomial: Fraction} sum
     for e1 in range(lo, hi + 1):
         efactor = exp_linear_form(n_series.varspecs, {f: e1, g: -e1}, tcap)
         ecells = sorted((out.tdeg(ycell), ycell, _int_weight(c * scale))
@@ -607,8 +606,11 @@ def _mul_delta_pinned(n_series, f, g, x1, x2, out_window, tcap):
                 cell = [a + b for a, b in zip(ncell, ycell)]
                 cell[x1i] = e1
                 cell[x2i] = e2
-                _axpy(accs.setdefault(tuple(cell), {}), vec, c)
-    out.terms = {cell: _vec(acc, scale) for cell, acc in accs.items()}
+                acc = accs.setdefault(tuple(cell), {})
+                for mon, x in vec.terms.items():
+                    _add_into(acc, mon, x * c)
+    out.terms = {cell: FockVector({mon: x / scale for mon, x in acc.items()})
+                 for cell, acc in accs.items()}
     return out._prune()
 
 
