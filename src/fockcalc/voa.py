@@ -23,11 +23,11 @@ from types import MappingProxyType
 
 from .exact import PowerSeries, _add_into
 from .fock import (FockVector, _den, _iaxpy, _insert_part, _int_str,
-                   _nonzero, _off_scale, _on_scale, _remove_part, fock_str,
-                   vacuum, weight_basis)
+                   _nonzero, _off_scale, _on_scale, _remove_part, vacuum,
+                   weight_basis)
 from .quadratic import L_apply
 from .report import FAIL, PASS, VerificationReport
-from .series import MultiSeries, comb_int, window_var
+from .series import MultiSeries, _exact_div, comb_int, window_var
 
 
 class VOAConstants:
@@ -192,13 +192,6 @@ def zhu_bracket_apply(u: FockVector, v: FockVector, order: int) -> MultiSeries:
 # Axiom suite
 # ---------------------------------------------------------------------------
 
-def _add_vector_cell(rep: VerificationReport, key: str, lhs: FockVector,
-                     rhs: FockVector) -> None:
-    """Add the cell lhs = rhs; equal vectors render to one string."""
-    text = fock_str(lhs)
-    rep.add_cell(key, text, text if lhs == rhs else fock_str(rhs))
-
-
 def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
     """Check the defining axioms exactly on all basis vectors.
 
@@ -206,101 +199,99 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
     property, the bracket relations of the conformal modes at rank 1,
     the grading eigenvalue, the translation-derivative property, and
     agreement of the conformal modes with the quadratic family.
+
+    Both sides of every cell are int term maps on a fixed scale: 1 for
+    the vacuum, creation and truncation cells, 2 for the grading, omega-
+    mode and derivative cells, and 4 for the Virasoro cells.  The modes
+    come from the int-valued 2 omega, so ``lw(n, w)`` is 2 L(n) w; the
+    central term goes onto the scale 4 by an exact division.
     """
     rep = VerificationReport(
         identity="voa-axioms",
         parameters={"max_weight": max_weight, "mode_window": mode_window},
     )
     mons = [m for w in range(max_weight + 1) for m in weight_basis(w)]
-    vecs = {m: FockVector({m: Fraction(1)}) for m in mons}
+    vecs = {m: FockVector({m: 1}) for m in mons}
     one = vacuum()
-    omega = VOAConstants.omega()
+    two_omega = FockVector({(1, 1): 1})
+    memos = {1: {}, 2: {}, 4: {}}
+    window = range(-mode_window, mode_window + 1)
+
+    def cell(den, key, lhs, rhs, listed=False):
+        # lhs / den = rhs / den, compared as ints with the zero entries
+        # dropped; equal sides render to one string.  A cell zero on both
+        # sides is a bulk pass unless it is listed.
+        lhs, rhs = _nonzero(lhs), _nonzero(rhs)
+        if lhs or rhs or listed:
+            text = _int_str(lhs, den, memos[den])
+            rep.add_cell(key, text, text if lhs == rhs
+                         else _int_str(rhs, den, memos[den]))
+        else:
+            rep.bulk_passed += 1
 
     # vacuum operator: 1_n w = delta_{n,-1} w
     for m in mons:
-        for n in range(-mode_window, mode_window + 1):
-            got = mode_apply(one, n, vecs[m])
-            want = vecs[m] if n == -1 else FockVector()
-            if got or want:
-                _add_vector_cell(rep, f"vacuum-op n={n} w={list(m)}",
-                                 got, want)
-            else:
-                rep.bulk_passed += 1
+        for n in window:
+            cell(1, f"vacuum-op n={n} w={list(m)}",
+                 mode_apply(one, n, vecs[m]).terms, {m: 1} if n == -1 else {})
 
     # creation: Y(v,x)1 has no negative powers and constant term v
     for m in mons:
         for n in range(0, mode_window + 1):
-            got = mode_apply(vecs[m], n, one)
-            if got:
-                rep.add_cell(f"creation v={list(m)} n={n}", fock_str(got), "0")
-            else:
-                rep.bulk_passed += 1
-        _add_vector_cell(rep, f"creation-constant v={list(m)}",
-                         mode_apply(vecs[m], -1, one), vecs[m])
+            cell(1, f"creation v={list(m)} n={n}",
+                 mode_apply(vecs[m], n, one).terms, {})
+        cell(1, f"creation-constant v={list(m)}",
+             mode_apply(vecs[m], -1, one).terms, {m: 1}, listed=True)
 
     # lower truncation: u_n v = 0 for n beyond the weight bound
     for mu in mons:
         for mv in mons:
             bound = sum(mu) + sum(mv) - 1
             for n in range(bound + 1, mode_window + 2 * max_weight + 1):
-                got = _mode_mon(mu, n, mv)
-                if got:
-                    rep.add_cell(f"truncation u={list(mu)} v={list(mv)} n={n}",
-                                 fock_str(got), "0")
-                else:
-                    rep.bulk_passed += 1
+                cell(1, f"truncation u={list(mu)} v={list(mv)} n={n}",
+                     _mode_mon(mu, n, mv).terms, {})
 
     # conformal modes: grading, brackets with rank term, derivative property
     def lw(n, w):
-        return mode_apply(omega, n + 1, w)
+        return mode_apply(two_omega, n + 1, w).terms
 
     # the Virasoro cells ask for each L(n) of a basis vector many times
     lw_basis = functools.cache(lambda n, m: lw(n, vecs[m]))
 
     for m in mons:
-        got = lw_basis(0, m)
-        _add_vector_cell(rep, f"grading w={list(m)}", got,
-                         vecs[m].scale(sum(m)))
+        cell(2, f"grading w={list(m)}", lw_basis(0, m), {m: 2 * sum(m)},
+             listed=True)
 
-    for mm in range(-mode_window, mode_window + 1):
-        for nn in range(-mode_window, mode_window + 1):
+    for mm in window:
+        # the central term 4 rank (m^3 - m) / 12; a rank off the scale raises
+        central = _exact_div(4 * (mm ** 3 - mm) * VOAConstants.rank.numerator,
+                             12 * VOAConstants.rank.denominator)
+        for nn in window:
             for m in mons:
-                w = vecs[m]
-                lhs = lw(mm, lw_basis(nn, m)) - lw(nn, lw_basis(mm, m))
-                rhs = lw_basis(mm + nn, m).scale(mm - nn)
+                lhs = {}
+                _iaxpy(lhs, lw(mm, FockVector(lw_basis(nn, m))), 1)
+                _iaxpy(lhs, lw(nn, FockVector(lw_basis(mm, m))), -1)
+                rhs = {}
+                _iaxpy(rhs, lw_basis(mm + nn, m), 2 * (mm - nn))
                 if mm + nn == 0:
-                    rhs = rhs + w.scale(
-                        Fraction(mm ** 3 - mm, 12) * VOAConstants.rank)
-                if lhs or rhs:
-                    _add_vector_cell(
-                        rep, f"virasoro m={mm} n={nn} w={list(m)}", lhs, rhs)
-                else:
-                    rep.bulk_passed += 1
+                    rhs[m] = rhs.get(m, 0) + central
+                cell(4, f"virasoro m={mm} n={nn} w={list(m)}", lhs, rhs)
 
     # omega modes agree with the quadratic family
-    for n in range(-mode_window, mode_window + 1):
+    for n in window:
         for m in mons:
-            got = lw_basis(n, m)
-            want = L_apply(n, vecs[m])
-            if got or want:
-                _add_vector_cell(rep, f"omega-mode n={n} w={list(m)}",
-                                 got, want)
-            else:
-                rep.bulk_passed += 1
+            cell(2, f"omega-mode n={n} w={list(m)}", lw_basis(n, m),
+                 _on_scale(L_apply(n, vecs[m]), 2).terms)
 
     # translation-derivative: (L(-1)v)_n = -n v_{n-1}
     for m in mons:
-        lv = lw_basis(-1, m)
-        for n in range(-mode_window, mode_window + 1):
+        lv = FockVector(lw_basis(-1, m))
+        for n in window:
             for mw in mons:
-                got = mode_apply(lv, n, vecs[mw])
-                want = _mode_mon(m, n - 1, mw).scale(-n)
-                if got or want:
-                    _add_vector_cell(
-                        rep, f"derivative v={list(m)} n={n} w={list(mw)}",
-                        got, want)
-                else:
-                    rep.bulk_passed += 1
+                want = {}
+                _iaxpy(want, _mode_mon(m, n - 1, mw).terms, -2 * n)
+                cell(2, f"derivative v={list(m)} n={n} w={list(mw)}",
+                     mode_apply(lv, n, vecs[mw]).terms, want)
     return rep
 
 
@@ -308,17 +299,31 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
 # Weak commutativity
 # ---------------------------------------------------------------------------
 
+def _int_commutator_cells(u: FockVector, v: FockVector, w: FockVector,
+                          window: int) -> tuple:
+    """``commutator_cells`` as int term maps on the scale D = den(u) den(v)
+    den(w): returns (D, {cell: ints}), zero cells dropped."""
+    du, dv, dw = _den(u), _den(v), _den(w)
+    ui, vi, wi = _on_scale(u, du), _on_scale(v, dv), _on_scale(w, dw)
+    box = range(-window, window + 1)
+    uw = {e: mode_apply(ui, -e - 1, wi) for e in box}
+    vw = {e: mode_apply(vi, -e - 1, wi) for e in box}
+    cells = {}
+    for e1 in box:
+        for e2 in box:
+            acc = {}
+            _iaxpy(acc, mode_apply(ui, -e1 - 1, vw[e2]).terms, 1)
+            _iaxpy(acc, mode_apply(vi, -e2 - 1, uw[e1]).terms, -1)
+            if acc := _nonzero(acc):
+                cells[(e1, e2)] = acc
+    return du * dv * dw, cells
+
+
 def commutator_cells(u: FockVector, v: FockVector, w: FockVector,
                      window: int) -> dict:
     """[Y(u,x1), Y(v,x2)]w coefficients on the +-window box, by cell."""
-    cells = {}
-    for e1 in range(-window, window + 1):
-        for e2 in range(-window, window + 1):
-            val = (mode_apply(u, -e1 - 1, mode_apply(v, -e2 - 1, w))
-                   - mode_apply(v, -e2 - 1, mode_apply(u, -e1 - 1, w)))
-            if val:
-                cells[(e1, e2)] = val
-    return cells
+    den, cells = _int_commutator_cells(u, v, w, window)
+    return {cell: _off_scale(ints, den) for cell, ints in cells.items()}
 
 
 def x_commutator_cells(u: FockVector, v: FockVector, w: FockVector,
@@ -342,26 +347,21 @@ def weak_comm_check(u: FockVector, v: FockVector, w: FockVector,
         identity="weak-commutativity",
         parameters={"window": window, "n_max": n_max},
     )
-    comm = commutator_cells(u, v, w, window + n_max)
-    found = None
-    for n in range(n_max + 1):
-        all_zero = True
-        for a1 in range(-window, window + 1):
-            for a2 in range(-window, window + 1):
-                acc = FockVector()
+    _, comm = _int_commutator_cells(u, v, w, window + n_max)
+    box = range(-window, window + 1)
+
+    def annihilates(n):
+        for a1 in box:
+            for a2 in box:
+                acc = {}
                 for k in range(n + 1):
-                    c = comb_int(n, k) * (-1) ** k
-                    got = comm.get((a1 - (n - k), a2 - k))
-                    if got:
-                        acc = acc + got.scale(c)
-                if acc:
-                    all_zero = False
-                    break
-            if not all_zero:
-                break
-        if all_zero:
-            found = n
-            break
+                    if got := comm.get((a1 - (n - k), a2 - k)):
+                        _iaxpy(acc, got, comb_int(n, k) * (-1) ** k)
+                if any(acc.values()):
+                    return False
+        return True
+
+    found = next((n for n in range(n_max + 1) if annihilates(n)), None)
     rep.data["order_found"] = found
     if found is None:
         rep.add_cell("annihilation-order", "not found", f"<= {n_max}", FAIL)
