@@ -335,5 +335,6 @@ def diff_op_apply(r: int, n: int, p: LaurentPolyVector) -> LaurentPolyVector:
     out = t_mul(n, d_apply(out))
     for _ in range(r):
         out = d_apply(out)
-    sign = 1 if (r + 1) % 2 == 0 else -1
-    return out.scale(sign)
+    if r % 2 == 0:
+        out = LaurentPolyVector({k: -c for k, c in out.terms.items()})
+    return out

@@ -25,8 +25,8 @@ from types import MappingProxyType
 
 from .exact import ZERO, UsageError, _add_into, rat_str, zeta_nonpositive
 from .fock import (FockVector, LaurentPolyVector, _den, _iaxpy,
-                   _insert_part, _off_scale, _on_scale, _remove_part,
-                   diff_op_apply, fock_str, h_apply, weight_basis,
+                   _insert_part, _int_str, _nonzero, _off_scale, _on_scale,
+                   _remove_part, diff_op_apply, h_apply, weight_basis,
                    weight_index)
 from .report import FAIL, PASS, VerificationReport
 
@@ -229,18 +229,20 @@ def _verify_bracket(identity, m, n, max_weight, shift, central):
         parameters={"m": m, "n": n, "max_weight": max_weight},
         data={"central_term": rat_str(central)},
     )
+    # both sides as ints on the scale 4 den(scalar)
+    d = scalar.denominator
+    memo = {}
     for w in range(max_weight + 1):
         for mon in weight_basis(w):
-            lhs = FockVector({out: Fraction(c, 4) for out, c
-                              in _bracket_mon(0, 0, m, n, mon).items()})
-            acc = {mon: 2 * scalar.numerator}
-            _iaxpy(acc, _lpq_mon(0, 0, m + n, mon).terms,
-                   (m - n) * scalar.denominator)
-            rhs = _off_scale(acc, 2 * scalar.denominator)
+            lhs = {out: d * c for out, c
+                   in _bracket_mon(0, 0, m, n, mon).items()}
+            rhs = {mon: 4 * scalar.numerator}
+            _iaxpy(rhs, _lpq_mon(0, 0, m + n, mon).terms, 2 * (m - n) * d)
+            rhs = _nonzero(rhs)
             # equal vectors render to one string
-            text = fock_str(lhs)
+            text = _int_str(lhs, 4 * d, memo)
             rep.add_cell(list(mon), text,
-                         text if lhs == rhs else fock_str(rhs))
+                         text if lhs == rhs else _int_str(rhs, 4 * d, memo))
     return rep
 
 
@@ -493,11 +495,17 @@ def verify_diff_op_projection(r: int, s: int, m: int, n: int,
     rep.data["cocycle_value"] = rat_str(dec.scalar_part)
     rep.data["operator_part"] = [rat_str(c) for c in dec.operator_part]
 
+    # the operator part on the int t^p, summed over d = lcm(den c_j)
+    d = lcm(*(c.denominator for c in dec.operator_part))
+    ops = [(j, c.numerator * (d // c.denominator))
+           for j, c in enumerate(dec.operator_part) if c]
     for p in range(-p_bound, p_bound + 1):
-        tp = LaurentPolyVector.monomial(p)
-        lhs = sum((diff_op_apply(j, m + n, tp).scale(c)
-                   for j, c in enumerate(dec.operator_part) if c),
-                  LaurentPolyVector())
+        tp = LaurentPolyVector({p: 1})
+        acc = {}
+        for j, c in ops:
+            _iaxpy(acc, diff_op_apply(j, m + n, tp).terms, c)
+        lhs = LaurentPolyVector({k: Fraction(x, d)
+                                 for k, x in acc.items() if x})
         rhs = (diff_op_apply(r, m, diff_op_apply(s, n, tp))
                - diff_op_apply(s, n, diff_op_apply(r, m, tp)))
         rep.add_cell(f"t^{p}", repr(lhs), repr(rhs))

@@ -36,8 +36,8 @@ from types import MappingProxyType
 
 from .exact import ZERO, UsageError, _add_into, bernoulli
 from .fock import (FockVector, _den, _iaxpy, _int_str, _nonzero,
-                   _off_scale, _on_scale, fock_str, h_apply)
-from .quadratic import _lpq_mon, ordered_pair_apply
+                   _off_scale, _on_scale, h_apply)
+from .quadratic import _lpq_mon
 from .report import VerificationReport
 
 
@@ -858,15 +858,24 @@ def contraction_check(v: FockVector, window: int) -> VerificationReport:
         identity="contraction",
         parameters={"weight": v.max_weight(), "window": window},
     )
+    # both sides as ints on the scale den(v); each h(-e) v is built once
+    d = _den(v)
+    vi = _on_scale(v, d)
+    memo = {}
     box = range(-window, window + 1)
+    hv = {e: h_apply(-e, vi) for e in box}
     for e1 in box:
         for e2 in box:
-            lhs = h_apply(-e1, h_apply(-e2, v))
-            rhs = ordered_pair_apply(-e1, -e2, v)
-            if e1 + e2 == 0 and e2 >= 1:
-                rhs = rhs + v.scale(e2)
+            lhs = h_apply(-e1, hv[e2]).terms
+            # normal order: the annihilation factor h(-e1) acts first
+            rhs = h_apply(-e2, hv[e1]).terms if e1 < 0 < e2 else lhs
+            if e1 + e2 == 0 < e2:
+                _iaxpy(rhs, vi.terms, e2)
+                rhs = _nonzero(rhs)
             if lhs or rhs:
-                rep.add_cell(f"x1^{e1} x2^{e2}", fock_str(lhs), fock_str(rhs))
+                text = _int_str(lhs, d, memo)
+                rep.add_cell(f"x1^{e1} x2^{e2}", text,
+                             text if lhs == rhs else _int_str(rhs, d, memo))
             else:
                 rep.bulk_passed += 1
     return rep

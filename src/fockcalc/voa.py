@@ -60,11 +60,19 @@ def _mode_mon(state: tuple, n: int, target: tuple) -> FockVector:
     step inserts or removes one part, and its weight, a binomial
     C(-m-1, k-1) times the h-action m * multiplicity, is an integer.  The
     term map is read-only, since every caller shares the cached vector.
+    A one-part state (k,) is the term C(-m-1, k-1) h(m), m = n - k + 1.
     """
     if not state:
         return FockVector(MappingProxyType({target: 1} if n == -1 else {}))
     k = state[0]
     rest = state[1:]
+    if not rest:
+        m = n - k + 1
+        c = comb_int(-m - 1, k - 1) * (1 if m < 0 else m * target.count(m))
+        if not c:
+            return FockVector(MappingProxyType({}))
+        out = _insert_part(target, -m) if m < 0 else _remove_part(target, m)
+        return FockVector(MappingProxyType({out: c}))
     wt_rest = sum(rest)
     wt_target = sum(target)
     terms = {}
