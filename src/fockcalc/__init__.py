@@ -14,9 +14,8 @@ Subpackages:
 * ``cli``       - command-line driver producing deterministic reports
 """
 
-from .exact import (PowerSeries, ShiftedQSeries, bernoulli, bernoulli_series,
-                    check_geometric_bernoulli, chi_s, graded_dimension,
-                    zeta_nonpositive)
+from .exact import (PowerSeries, ShiftedQSeries, bernoulli, chi_s,
+                    graded_dimension, zeta_nonpositive)
 from .fock import (FockVector, LaurentPolyVector, basis, diff_op_apply,
                    fock_str, h_apply, monomial, vacuum, weight)
 from .quadratic import (CentralDecomposition, GradedOperator, L_apply,
@@ -26,9 +25,9 @@ from .quadratic import (CentralDecomposition, GradedOperator, L_apply,
                         verify_virasoro)
 from .report import VerificationReport
 from .series import (ExpansionConvention, LocalizedSeries, MultiSeries,
-                     VarSpec, apply_dilation, apply_taylor, contraction_check,
-                     delta_series, normal_ordered_pair, one_minus_exp_inverse,
-                     plusplus_pair, regularized_commutator_check,
+                     VarSpec, contraction_check, normal_ordered_pair,
+                     one_minus_exp_inverse, plusplus_pair,
+                     regularized_commutator_check,
                      regularized_commutator_checks)
 from .voa import (VOAConstants, X_apply, axiom_suite, dilated_jacobi_check,
                   jacobi_check, mode_apply, weak_comm_check, zhu_bracket_apply)

@@ -82,8 +82,7 @@ def cmd_qdim(args):
 
 def cmd_chi(args):
     chi = chi_s(args.max)
-    payload = {"schema": SCHEMA_VERSION, "table": "chi",
-               "shift": rat_str(chi.shift), "series": chi.series.to_pairs()}
+    payload = {"schema": SCHEMA_VERSION, "table": "chi", **chi.to_json_dict()}
     text = (f"shift = {rat_str(chi.shift)}\n"
             + "\n".join(f"q^{n} : {c}" for n, c in chi.series.to_pairs()))
     return 0, payload, text

@@ -16,9 +16,9 @@ truncation order raises ``SeriesError`` instead of silently returning 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,7 +69,9 @@ class PowerSeries:
     """Truncated power series sum_{0 <= n <= order} c_n x^n over Fraction.
 
     Coefficients are stored sparsely; absent exponents are zero.  All
-    arithmetic is exact through the carried truncation order.
+    arithmetic is exact through the carried truncation order.  Only the
+    operations some command uses are here; results take the class of
+    self, so a subclass with more operations keeps them.
     """
 
     __slots__ = ("coeffs", "order")
@@ -90,16 +92,8 @@ class PowerSeries:
                     self.coeffs[n] = c
 
     @classmethod
-    def zero(cls, order):
-        return cls({}, order)
-
-    @classmethod
     def one(cls, order):
         return cls({0: ONE}, order)
-
-    @classmethod
-    def x(cls, order):
-        return cls({1: ONE} if order >= 1 else {}, order)
 
     def coeff(self, n: int) -> Fraction:
         if n < 0:
@@ -109,16 +103,8 @@ class PowerSeries:
                 f"coefficient of x^{n} requested beyond truncation order {self.order}")
         return self.coeffs.get(n, ZERO)
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise SeriesError("cannot extend a truncated series")
-        return PowerSeries({n: c for n, c in self.coeffs.items() if n <= order}, order)
-
     def constant_term(self) -> Fraction:
         return self.coeffs.get(0, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -127,34 +113,6 @@ class PowerSeries:
 
     def __hash__(self):
         return hash((self.order, tuple(sorted(self.coeffs.items()))))
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        out = {}
-        for n in set(self.coeffs) | set(other.coeffs):
-            if n <= order:
-                c = self.coeffs.get(n, ZERO) + other.coeffs.get(n, ZERO)
-                if c:
-                    out[n] = c
-        return PowerSeries(out, order)
-
-    def __neg__(self):
-        return PowerSeries({n: -c for n, c in self.coeffs.items()}, self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, a) -> "PowerSeries":
-        a = Fraction(a)
-        if not a:
-            return PowerSeries.zero(self.order)
-        return PowerSeries({n: a * c for n, c in self.coeffs.items()}, self.order)
-
-    def shift(self, k: int) -> "PowerSeries":
-        """Multiply by x^k (k >= 0); truncation order grows with the shift."""
-        if k < 0:
-            raise SeriesError("shift exponent must be >= 0")
-        return PowerSeries({n + k: c for n, c in self.coeffs.items()}, self.order + k)
 
     def __mul__(self, other):
         order = min(self.order, other.order)
@@ -165,7 +123,7 @@ class PowerSeries:
             for j, b in other.coeffs.items():
                 if i + j <= order:
                     _add_into(out, i + j, a * b)
-        return PowerSeries(out, order)
+        return type(self)(out, order)
 
     def div(self, other: "PowerSeries") -> "PowerSeries":
         """Exact long division; requires a unit constant term in the divisor."""
@@ -181,33 +139,16 @@ class PowerSeries:
             c = acc / b0
             if c:
                 out[n] = c
-        return PowerSeries(out, order)
+        return type(self)(out, order)
 
     def inverse(self) -> "PowerSeries":
-        return PowerSeries.one(self.order).div(self)
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner(x)); the inner series must have zero constant term."""
-        if inner.constant_term():
-            raise SeriesError("composition requires zero inner constant term")
-        order = min(self.order, inner.order)
-        inner = inner.truncate(order)
-        out = PowerSeries({0: self.coeffs.get(0, ZERO)}, order)
-        power = PowerSeries.one(order)
-        for n in range(1, order + 1):
-            power = power * inner
-            if power.is_zero():
-                break
-            cn = self.coeffs.get(n, ZERO)
-            if cn:
-                out = out + power.scale(cn)
-        return out
+        return type(self).one(self.order).div(self)
 
     def pow_int(self, k: int) -> "PowerSeries":
         """Integer power; negative k inverts (unit constant term required)."""
         if k < 0:
             return self.inverse().pow_int(-k)
-        result = PowerSeries.one(self.order)
+        result = type(self).one(self.order)
         base = self
         while k:
             if k & 1:
@@ -216,46 +157,6 @@ class PowerSeries:
             k >>= 1
         return result
 
-    def derivative(self) -> "PowerSeries":
-        if self.order == 0:
-            return PowerSeries.zero(0)
-        return PowerSeries({n - 1: n * c for n, c in self.coeffs.items() if n >= 1},
-                           self.order - 1)
-
-    def exp(self) -> "PowerSeries":
-        """exp of a series with zero constant term, via e' = a' e."""
-        if self.constant_term():
-            raise SeriesError("exp requires zero constant term")
-        order = self.order
-        out = {0: ONE}
-        for n in range(1, order + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                ak = self.coeffs.get(k, ZERO)
-                if ak:
-                    acc += k * ak * out.get(n - k, ZERO)
-            c = acc / n
-            if c:
-                out[n] = c
-        return PowerSeries(out, order)
-
-    def log(self) -> "PowerSeries":
-        """log of a series with constant term 1, via l' = a'/a."""
-        if self.constant_term() != 1:
-            raise SeriesError("log requires constant term 1")
-        order = self.order
-        out = {}
-        for n in range(1, order + 1):
-            acc = n * self.coeffs.get(n, ZERO)
-            for k in range(1, n):
-                lk = out.get(k, ZERO)
-                if lk:
-                    acc -= k * lk * self.coeffs.get(n - k, ZERO)
-            c = acc / n
-            if c:
-                out[n] = c
-        return PowerSeries(out, order)
-
     def to_pairs(self):
         """JSON form: sorted [exponent, "p/q"] pairs."""
         return [[n, rat_str(c)] for n, c in sorted(self.coeffs.items())]
@@ -263,11 +164,6 @@ class PowerSeries:
     def __repr__(self):
         terms = " + ".join(f"{rat_str(c)}*x^{n}" for n, c in sorted(self.coeffs.items()))
         return f"PowerSeries({terms or '0'}; order {self.order})"
-
-
-def exp_x(order: int) -> PowerSeries:
-    """e^x - computed from the factorial coefficients."""
-    return PowerSeries({n: Fraction(1, factorial(n)) for n in range(order + 1)}, order)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +178,8 @@ def bernoulli(k: int) -> Fraction:
 
     Computed by the classical recurrence sum_{j<m} C(m+1, j) B_j = -... ,
     i.e. B_m = -1/(m+1) * sum_{j=0}^{m-1} C(m+1, j) B_j, which pins the
-    same values as the generating-function division (cross-checked by
-    ``check_geometric_bernoulli``).
+    same values as the generating-function division (the tests cross-check
+    both routes).
     """
     if k < 0:
         raise UsageError("Bernoulli index must be >= 0")
@@ -294,17 +190,6 @@ def bernoulli(k: int) -> Fraction:
             acc += comb(m + 1, j) * _BERNOULLI_CACHE[j]
         _BERNOULLI_CACHE.append(-acc / (m + 1))
     return _BERNOULLI_CACHE[k]
-
-
-def bernoulli_series(order: int) -> PowerSeries:
-    """x/(e^x - 1) through the given order, by exact long division.
-
-    The coefficient of x^k is B_k / k!.
-    """
-    # divide x by (e^x - 1) after cancelling the common factor x
-    denom = PowerSeries(
-        {n - 1: Fraction(1, factorial(n)) for n in range(1, order + 2)}, order)
-    return PowerSeries.one(order).div(denom)
 
 
 def zeta_nonpositive(n: int) -> Fraction:
@@ -318,29 +203,6 @@ def zeta_nonpositive(n: int) -> Fraction:
     if n == 0:
         return -bernoulli(1) - 1
     return -bernoulli(n + 1) / (n + 1)
-
-
-def check_geometric_bernoulli(order: int):
-    """Compare the two rigorous routes to 1/(1 - e^x) coefficient-wise.
-
-    Left side: -x^{-1} * (x/(e^x-1)) with the inner series computed by long
-    division.  Right side: -sum_k B_k/k! x^{k-1} with B_k from the
-    recurrence.  The report has one cell per exponent from -1 up.
-    """
-    from .report import VerificationReport
-
-    if order < 1:
-        raise UsageError("order must be >= 1")
-    rep = VerificationReport(
-        identity="geometric-bernoulli",
-        parameters={"order": order},
-    )
-    divided = bernoulli_series(order)
-    for k in range(order + 1):
-        lhs = -divided.coeff(k)          # coefficient of x^{k-1} on the left
-        rhs = -bernoulli(k) / factorial(k)
-        rep.add_cell(f"x^{k - 1}", rat_str(lhs), rat_str(rhs))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +225,10 @@ def graded_dimension(max_n: int) -> PowerSeries:
     return result
 
 
-@dataclass(frozen=True)
-class ShiftedQSeries:
+class ShiftedQSeries(namedtuple("ShiftedQSeries", "shift series")):
     """q^shift times an ordinary power series in q; shift is rational."""
 
-    shift: Fraction
-    series: PowerSeries
+    __slots__ = ()
 
     def to_json_dict(self):
         return {"shift": rat_str(self.shift), "series": self.series.to_pairs()}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -149,7 +148,6 @@ def identity_op() -> OperatorSpec:
 # Graded matrices and certified commutators
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GradedOperator:
     """Per-weight exact matrix blocks of a weight-graded operator.
 
@@ -158,9 +156,12 @@ class GradedOperator:
     exist for every weight in the certified domain.
     """
 
-    degree: int
-    domain_bound: int
-    cols: dict
+    __slots__ = ("degree", "domain_bound", "cols")
+
+    def __init__(self, degree: int, domain_bound: int, cols: dict):
+        self.degree = degree
+        self.domain_bound = domain_bound
+        self.cols = cols
 
     def apply(self, v: FockVector) -> FockVector:
         acc = FockVector()
@@ -326,7 +327,6 @@ def interpolate_polynomial(points):
 # Central decomposition and its consequences
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CentralDecomposition:
     """[family(r)(m), family(s)(n)] = sum_j c_j family(j)(m+n) + scalar.
 
@@ -338,15 +338,15 @@ class CentralDecomposition:
     degenerate-but-consistent fit still certifies the span containment.
     """
 
-    r: int
-    s: int
-    m: int
-    n: int
-    regularized: bool
-    operator_part: list
-    scalar_part: Fraction
-    residual: dict
-    unique: bool = True
+    def __init__(self, r: int, s: int, m: int, n: int, regularized: bool,
+                 operator_part: list, scalar_part: Fraction, residual: dict,
+                 unique: bool = True):
+        self.r, self.s, self.m, self.n = r, s, m, n
+        self.regularized = regularized
+        self.operator_part = operator_part
+        self.scalar_part = scalar_part
+        self.residual = residual
+        self.unique = unique
 
     @property
     def ok(self):

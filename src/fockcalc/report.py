@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
@@ -22,22 +21,43 @@ UNCERTIFIED = "uncertified"
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class Cell:
-    key: str
-    lhs: str
-    rhs: str
-    status: str
+    """One compared coefficient.  Mutable, so that merging reports can
+    relabel keys in place; equal when all four fields are."""
+
+    __slots__ = ("key", "lhs", "rhs", "status")
+
+    def __init__(self, key, lhs, rhs, status):
+        self.key = key
+        self.lhs = lhs
+        self.rhs = rhs
+        self.status = status
+
+    def _fields(self):
+        return (self.key, self.lhs, self.rhs, self.status)
+
+    def __eq__(self, other):
+        if type(other) is not Cell:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return ("Cell(key={!r}, lhs={!r}, rhs={!r}, status={!r})"
+                .format(*self._fields()))
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    parameters: dict
-    cells: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    # zero-equals-zero cells verified in bulk, counted but not listed
-    bulk_passed: int = 0
+    """The cells of one verification, its parameters and recorded data.
+    cells and data default to a fresh list and dict per report."""
+
+    def __init__(self, identity, parameters, cells=None, data=None,
+                 bulk_passed=0):
+        self.identity = identity
+        self.parameters = parameters
+        self.cells = [] if cells is None else cells
+        self.data = {} if data is None else data
+        # zero-equals-zero cells verified in bulk, counted but not listed
+        self.bulk_passed = bulk_passed
 
     def add_cell(self, key, lhs, rhs, status=None):
         if status is None:

@@ -18,18 +18,20 @@ as possible under an explicit ``ExpansionConvention``; only expansion
 introduces negative trunc exponents, recorded per series in
 ``neg_floor`` (below the floor the value is uncertified, not zero).
 
-On this core the module builds the formal delta function, the formal
-translation and dilation exponentials, the colon- and ++-ordered
-generating products of oscillator pairs, the contraction identity check,
-and the verifier for the generating-function commutator identity of the
-zeta-regularized quadratic family.
+On this core the module builds the colon- and ++-ordered generating
+products of oscillator pairs, the contraction identity check, and the
+verifier for the generating-function commutator identity of the
+zeta-regularized quadratic family.  That verifier sums its delta
+products and exponentials in closed form, so the formal delta function
+and the translation and dilation exponentials as series live in the
+tests, as references.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm, prod
 from types import MappingProxyType
@@ -45,19 +47,11 @@ class UncertifiedError(ValueError):
     """A coefficient outside the certified region was requested or needed."""
 
 
-@dataclass(frozen=True)
-class VarSpec:
-    """A formal variable with its exponent policy.
-
-    kind "trunc": nonnegative exponents, truncated (order = default cap).
-    kind "window": integer exponents certified on [lo, hi].
-    """
-
-    name: str
-    kind: str
-    lo: int | None = None
-    hi: int | None = None
-    order: int | None = None
+# A formal variable with its exponent policy.  kind "trunc": nonnegative
+# exponents, truncated (order = default cap); kind "window": integer
+# exponents certified on [lo, hi].
+VarSpec = namedtuple("VarSpec", "name kind lo hi order",
+                     defaults=(None, None, None))
 
 
 def trunc_var(name: str, order: int | None = None) -> VarSpec:
@@ -70,12 +64,8 @@ def window_var(name: str, lo: int, hi: int) -> VarSpec:
     return VarSpec(name, "window", lo=lo, hi=hi)
 
 
-@dataclass(frozen=True)
-class ExpansionConvention:
-    """Negative powers are permitted only in the distinguished variable."""
-
-    distinguished: str
-
+# Negative powers are permitted only in the distinguished variable.
+ExpansionConvention = namedtuple("ExpansionConvention", "distinguished")
 
 NEG_POWERS_Y1 = ExpansionConvention("y1")
 NEG_POWERS_Y2 = ExpansionConvention("y2")
@@ -367,26 +357,8 @@ def _mul_interval(a_iv, a_supp, b_iv, b_supp):
 
 
 # ---------------------------------------------------------------------------
-# Elementary constructions
+# Exponentials of linear forms
 # ---------------------------------------------------------------------------
-
-def constant_series(varspecs, value=Fraction(1)) -> MultiSeries:
-    complete = {v.name: (None, None) for v in varspecs if v.kind == "window"}
-    zero_cell = (0,) * len(varspecs)
-    terms = {zero_cell: Fraction(value)} if value else {}
-    return MultiSeries(varspecs, terms, complete)
-
-
-def monomial_series(varspecs, exponents: dict, value=Fraction(1)) -> MultiSeries:
-    out = constant_series(varspecs, value)
-    if not value:
-        return out
-    cell = [0] * len(varspecs)
-    for name, e in exponents.items():
-        cell[out.pos(name)] = e
-    out.terms = {tuple(cell): Fraction(value)}
-    return out
-
 
 @functools.lru_cache(maxsize=None)
 def _exp_cells(coeffs: tuple, tcap: int) -> tuple:
@@ -408,114 +380,6 @@ def _exp_cells(coeffs: tuple, tcap: int) -> tuple:
 
     rec(0, tcap, [], Fraction(1))
     return tuple(out)
-
-
-def exp_linear_form(varspecs, form: dict, tcap: int) -> MultiSeries:
-    """exp(sum_v form[v]*v) over the trunc variables, total degree <= tcap."""
-    names = [v.name for v in varspecs if v.kind == "trunc"]
-    coeffs = tuple(form.get(n, 0) for n in names)
-    pos = {v.name: i for i, v in enumerate(varspecs)}
-    terms = {}
-    for local_cell, value in _exp_cells(coeffs, tcap):
-        if not value:
-            continue
-        cell = [0] * len(varspecs)
-        for n, e in zip(names, local_cell):
-            cell[pos[n]] = e
-        terms[tuple(cell)] = value
-    complete = {v.name: (None, None) for v in varspecs if v.kind == "window"}
-    return MultiSeries(varspecs, terms, complete, tcap)
-
-
-def delta_series(varspecs, ratio: dict, window: tuple) -> MultiSeries:
-    """The formal delta function sum_n (ratio)^n restricted to a window.
-
-    ratio is a single monomial given as an exponent map over window
-    variables; each variable's certified interval is the image of the
-    window under its ratio exponent.
-    """
-    lo, hi = window
-    pos = {v.name: i for i, v in enumerate(varspecs)}
-    terms = {}
-    for n in range(lo, hi + 1):
-        cell = [0] * len(varspecs)
-        for name, rho in ratio.items():
-            cell[pos[name]] = rho * n
-        terms[tuple(cell)] = Fraction(1)
-    ival = {}
-    for v in varspecs:
-        if v.kind != "window":
-            continue
-        rho = ratio.get(v.name, 0)
-        if rho == 0:
-            ival[v.name] = (None, None)
-        else:
-            ival[v.name] = (min(rho * lo, rho * hi), max(rho * lo, rho * hi))
-    return MultiSeries(varspecs, terms, ival)
-
-
-def _y_order(f: MultiSeries, yname: str, order: int | None,
-             role: str) -> int:
-    """The y truncation order of a translation or dilation in yname:
-    order if given, else the variable's own order, else f's tcap."""
-    yspec = f.varspecs[f.pos(yname)]
-    if yspec.kind != "trunc":
-        raise UsageError(f"{role} variable must be truncated-nonnegative")
-    jmax = order if order is not None else (
-        yspec.order if yspec.order is not None else f.tcap)
-    if jmax is None:
-        raise UsageError("no truncation order available for the y variable")
-    return jmax
-
-
-def apply_taylor(yname: str, f: MultiSeries, xname: str,
-                 order: int | None = None) -> MultiSeries:
-    """Formal translation f(x) -> f(x+y), binomials expanded in
-    nonnegative powers of y.
-
-    x^m translates to sum_k C(m,k) x^{m-k} y^k (general integer m); the
-    certified x interval shrinks by the y order at the top end.
-    """
-    jmax = _y_order(f, yname, order, "translation")
-    xi, yi = f.pos(xname), f.pos(yname)
-    tcap = _min_none(f.tcap, jmax)
-    ival = dict(f.x_ival)
-    lo, hi = ival[xname]
-    ival[xname] = (lo, None if hi is None else hi - jmax)
-    out = MultiSeries(f.varspecs, {}, ival, tcap, f.neg_floor)
-    for cell, c in f.terms.items():
-        m = cell[xi]
-        for k in range(jmax + 1):
-            coef = comb_int(m, k)
-            if not coef:
-                continue
-            new = list(cell)
-            new[xi] = m - k
-            new[yi] = cell[yi] + k
-            _add_into(out.terms, tuple(new), c * coef)
-    return out._prune()
-
-
-def apply_dilation(yname: str, f: MultiSeries, xname: str,
-                   order: int | None = None) -> MultiSeries:
-    """Formal dilation f(x) -> f(e^y x): the x^n coefficient picks up the
-    exponential series e^{ny} through the y truncation."""
-    jmax = _y_order(f, yname, order, "dilation")
-    xi, yi = f.pos(xname), f.pos(yname)
-    out = MultiSeries(f.varspecs, {}, f.x_ival, _min_none(f.tcap, jmax),
-                      f.neg_floor)
-    for cell, c in f.terms.items():
-        n = cell[xi]
-        power = Fraction(1)
-        for k in range(jmax + 1):
-            if k:
-                power = power * n / k
-                if not power:
-                    break
-            new = list(cell)
-            new[yi] = cell[yi] + k
-            _add_into(out.terms, tuple(new), c * power)
-    return out._prune()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from types import MappingProxyType
 
-from .exact import PowerSeries, _add_into
+from .exact import PowerSeries
 from .fock import (FockVector, _den, _iaxpy, _insert_part, _int_str,
                    _nonzero, _off_scale, _on_scale, _remove_part, vacuum,
                    weight_basis)
@@ -76,6 +76,7 @@ def _mode_mon(state: tuple, n: int, target: tuple) -> FockVector:
     wt_rest = sum(rest)
     wt_target = sum(target)
     terms = {}
+    get = terms.get
     # creation part: sum_{m<=-1} C(-m-1, k-1) h(m) (rest_{n-m-k} target)
     m_lo = n - k - (wt_rest + wt_target - 1)
     for m in range(m_lo, 0):
@@ -84,15 +85,15 @@ def _mode_mon(state: tuple, n: int, target: tuple) -> FockVector:
             coef = comb_int(-m - 1, k - 1)
             if coef:
                 for mon, c in inner.items():
-                    _add_into(terms, _insert_part(mon, -m), coef * c)
+                    mon = _insert_part(mon, -m)
+                    terms[mon] = get(mon, 0) + coef * c
     # annihilation part: sum_{m>=1} C(-m-1, k-1) rest_{n-m-k} (h(m) target),
     # where h(m) removes one part m with weight m times its multiplicity
     for m in sorted(set(target)):
         coef = comb_int(-m - 1, k - 1) * m * target.count(m)
-        inner = _mode_mon(rest, n - m - k, _remove_part(target, m)).terms
-        for mon, c in inner.items():
-            _add_into(terms, mon, coef * c)
-    return FockVector(MappingProxyType(terms))
+        _iaxpy(terms, _mode_mon(rest, n - m - k,
+                                _remove_part(target, m)).terms, coef)
+    return FockVector(MappingProxyType(_nonzero(terms)))
 
 
 def mode_apply(state: FockVector, n: int, w: FockVector) -> FockVector:

@@ -4,11 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from fockcalc.exact import (PowerSeries, SeriesError, ShiftedQSeries,
-                            bernoulli, bernoulli_series,
-                            check_geometric_bernoulli, chi_s, exp_x,
+from fockcalc.exact import (SeriesError, ShiftedQSeries, bernoulli, chi_s,
                             graded_dimension, rat_str, zeta_nonpositive)
 from fockcalc.exact import _add_into
+from series_reference import (PowerSeries, bernoulli_series,
+                              check_geometric_bernoulli, exp_x)
 
 
 # ---------------------------------------------------------------------------

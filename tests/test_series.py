@@ -15,10 +15,8 @@ from fockcalc.quadratic import (Lbar_apply, Lr_apply, L_apply, _lpq_mon,
                                 ordered_pair_apply)
 from fockcalc.report import VerificationReport
 from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, MultiSeries,
-                             UncertifiedError, apply_dilation, apply_taylor,
-                             comb_int, constant_series, contraction_check,
-                             convention, delta_series, exp_linear_form,
-                             monomial_series, normal_ordered_pair,
+                             UncertifiedError, comb_int, contraction_check,
+                             convention, normal_ordered_pair,
                              one_minus_exp_inverse, plusplus_pair,
                              regularized_commutator_check,
                              regularized_commutator_checks, trunc_var,
@@ -28,6 +26,8 @@ from fockcalc.series import (_RHS_TERMS, _cell_key, _derivative_pole,
                              _genfun_scalars, _genfun_space, _pair_weights,
                              _plusplus_correction, _plusplus_pieces,
                              slot_pair_apply)
+from series_reference import (apply_dilation, apply_taylor, constant_series,
+                              delta_series, exp_linear_form, monomial_series)
 
 
 def mono(*parts):
