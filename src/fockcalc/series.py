@@ -461,6 +461,14 @@ class LocalizedSeries:
         denominators, and step i weighted by c_d^(imax-i) in place of a
         division by c_d^(k+i); each surviving cell is divided by
         D c_d^(k+imax) once.
+
+        Cells are summed as packed ints: digit j (base B, place B^j) of
+        a key is exponent j minus its least possible value, the body
+        minimum, less k + imax at the distinguished position.  Every
+        digit of a product lies in 0..B-1 with B the widest exponent
+        range plus 1, a mu position's range widened by imax; so a
+        product is a key sum, the shift y_d^{-k-i} one subtraction and
+        a mu step one addition of B^j.  Only nonzero sums are unpacked.
         """
         dvar = conv.distinguished
         c_d = self.pole.get(dvar, 0)
@@ -492,27 +500,43 @@ class LocalizedSeries:
             imax = min(imax, 0)
         if imax < 0:
             return out
+        cols = list(zip(*(b for b, _ in cells)))
+        lo = [min(col) for col in cols]
+        lo[di] -= k + imax
+        hi = [max(col) + (imax if j in mu else 0)
+              for j, col in enumerate(cols)]
+        hi[di] -= k
+        base = max(h - low for h, low in zip(hi, lo)) + 1
+        place = [base ** j for j in range(len(cols))]
+        cells = [(b[di], sum((e - low) * p for e, low, p in zip(b, lo, place)),
+                  val) for b, val in cells]
         acc = {}
-        mu_power = {(0,) * len(body.varspecs): 1}
+        get = acc.get
+        mu_power = {0: 1}
         for i in range(imax + 1):
-            while cells[-1][0][di] < dvar_floor + k + i:
+            while cells[-1][0] < dvar_floor + k + i:
                 cells.pop()
             w_i = comb_int(-k, i) * c_d ** (imax - i)
-            for mcell, mval in mu_power.items():
-                cm = w_i * mval
-                for bcell, bval in cells:
-                    cell = [x + y for x, y in zip(mcell, bcell)]
-                    cell[di] -= k + i
-                    cell = tuple(cell)
-                    acc[cell] = acc.get(cell, 0) + bval * cm
+            shift = (k + i) * place[di]
+            for mkey, mval in mu_power.items():
+                off, cm = mkey - shift, w_i * mval
+                for _, bkey, bval in cells:
+                    key = bkey + off
+                    acc[key] = get(key, 0) + bval * cm
             nxt = {}
-            for mcell, mval in mu_power.items():
+            for mkey, mval in mu_power.items():
                 for j, c in mu.items():
-                    new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
-                    _add_into(nxt, new, mval * c)
+                    _add_into(nxt, mkey + place[j], mval * c)
             mu_power = nxt
         scale = den * c_d ** (k + imax)
-        out.terms = {cell: Fraction(x, scale) for cell, x in acc.items() if x}
+        out.terms = terms = {}
+        for key, x in acc.items():
+            if x:
+                cell = []
+                for low in lo:
+                    key, e = divmod(key, base)
+                    cell.append(e + low)
+                terms[tuple(cell)] = Fraction(x, scale)
         return out
 
 

@@ -9,20 +9,26 @@ only then discards the cells outside the certified region.  A second
 reference is the Fraction form of the expansion loop, which divides by
 c_d^(k+i) at step i; ``expand`` sums in ints instead, scaling step i by
 c_d^(imax-i), and the pole coefficients drawn (c_d in +-1, +-2, +-3)
-exercise that scaling.
+exercise that scaling.  A third is the int loop over exponent tuples
+that ``expand`` ran before it packed each cell into one int; the
+strategy draws window exponents in -6..6 beside trunc exponents in 0..3,
+single-cell bodies (packing base 1) and floors down to -12, so that the
+packing's digit bounds are met at both ends.
 """
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockcalc.exact import UsageError, _add_into
 from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, LocalizedSeries,
                              MultiSeries, comb_int, trunc_var, window_var)
 
 VARSPECS = (trunc_var("y1"), trunc_var("y2"), trunc_var("y3"),
-            window_var("x", -3, 3))
+            window_var("x", -6, 6))
 
 
 def reference_expand(loc, conv, dvar_floor):
@@ -96,15 +102,65 @@ def fraction_loop_expand(loc, conv, dvar_floor):
     return out
 
 
+def tuple_loop_expand(loc, conv, dvar_floor):
+    # the int loop over exponent tuples: each product builds its cell as
+    # a list, then a tuple, before it is summed
+    dvar = conv.distinguished
+    c_d = loc.pole[dvar]
+    body, k = loc.body, loc.order
+    di = body.pos(dvar)
+    mu = {body.pos(n): c for n, c in loc.pole.items() if n != dvar}
+    complete = {n: (None, None) for n in body.window_names()}
+    out = MultiSeries(body.varspecs, {}, complete, body.tcap - k,
+                      {dvar: dvar_floor})
+    cells = [(b, val) for b, val in body.terms.items()
+             if body.tdeg(b) <= body.tcap]
+    if not cells:
+        return out
+    den = lcm(*(val.denominator for _, val in cells))
+    cells = sorted(((b, val.numerator * (den // val.denominator))
+                    for b, val in cells), key=lambda item: -item[0][di])
+    imax = min(max(body.tcap - k - dvar_floor, 0),
+               cells[0][0][di] - dvar_floor - k)
+    if not mu:
+        imax = min(imax, 0)
+    if imax < 0:
+        return out
+    acc = {}
+    mu_power = {(0,) * len(body.varspecs): 1}
+    for i in range(imax + 1):
+        while cells[-1][0][di] < dvar_floor + k + i:
+            cells.pop()
+        w_i = comb_int(-k, i) * c_d ** (imax - i)
+        for mcell, mval in mu_power.items():
+            cm = w_i * mval
+            for bcell, bval in cells:
+                cell = [x + y for x, y in zip(mcell, bcell)]
+                cell[di] -= k + i
+                cell = tuple(cell)
+                acc[cell] = acc.get(cell, 0) + bval * cm
+        nxt = {}
+        for mcell, mval in mu_power.items():
+            for j, c in mu.items():
+                new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
+                _add_into(nxt, new, mval * c)
+        mu_power = nxt
+    scale = den * c_d ** (k + imax)
+    out.terms = {cell: F(x, scale) for cell, x in acc.items() if x}
+    return out
+
+
 @st.composite
 def scalar_bodies(draw):
     tcap = draw(st.integers(0, 4))
-    # some body cells lie above tcap, so the reference has to discard them
+    # some body cells lie above tcap, so the reference has to discard
+    # them; the window exponent may be negative, and a one-cell body
+    # packs its cells in base 1 when no position has any range
     cell = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
-                     st.integers(-2, 2))
+                     st.integers(-6, 6))
     terms = draw(st.dictionaries(
         cell, st.fractions(min_value=-4, max_value=4, max_denominator=6)
-        .filter(bool), max_size=8))
+        .filter(bool), max_size=draw(st.sampled_from((1, 8)))))
     return MultiSeries(VARSPECS, terms, {"x": (None, None)}, tcap)
 
 
@@ -115,7 +171,7 @@ def localized_series(draw):
     pole = {"y1": draw(coef), "y2": draw(coef), "y3": draw(coef)}
     pole[conv.distinguished] = draw(coef.filter(bool))
     loc = LocalizedSeries(pole, draw(st.integers(1, 3)), draw(scalar_bodies()))
-    return loc, conv, draw(st.integers(-6, 1))
+    return loc, conv, draw(st.integers(-12, 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,6 +182,9 @@ def test_expand_matches_generate_then_filter(case):
     want = reference_expand(loc, conv, dvar_floor)
     assert got.terms == want.terms
     assert got.terms == fraction_loop_expand(loc, conv, dvar_floor).terms
+    # same cells in the same order as the tuple loop
+    assert list(got.terms.items()) == list(
+        tuple_loop_expand(loc, conv, dvar_floor).terms.items())
     assert all(type(c) is F for c in got.terms.values())
     assert got.tcap == want.tcap
     assert got.neg_floor == want.neg_floor
@@ -160,3 +219,32 @@ def test_expand_rejects_pole_in_window_variable():
     loc = LocalizedSeries({"y1": 1, "x": 1}, 1, body)
     with pytest.raises(ValueError):
         loc.expand(NEG_POWERS_Y1, -2)
+
+
+def test_expand_of_order_zero_is_the_body():
+    body = MultiSeries(VARSPECS, {(0, 0, 0, 0): F(1), (1, 0, 0, -2): F(1, 2)},
+                       {"x": (None, None)}, 2)
+    loc = LocalizedSeries({"y1": 1, "y2": -1}, 0, body)
+    assert loc.expand(NEG_POWERS_Y1, -4) is body
+
+
+def test_expand_rejects_untruncated_body():
+    body = MultiSeries(VARSPECS, {(0, 0, 0, 0): F(1)}, None, None)
+    loc = LocalizedSeries({"y1": 1, "y2": -1}, 1, body)
+    with pytest.raises(UsageError):
+        loc.expand(NEG_POWERS_Y1, -4)
+
+
+@pytest.mark.parametrize("body,dvar_floor", [
+    # every body cell above tcap
+    (MultiSeries(VARSPECS, {(2, 1, 0, 0): F(3)}, None, 2), -4),
+    # no body cell reaches the floor: imax = 0 - 0 - 1 < 0
+    (MultiSeries(VARSPECS, {(0, 1, 0, 0): F(1)}, None, 2), 0)],
+    ids=["above-tcap", "imax-negative"])
+def test_expand_with_nothing_certified_is_empty(body, dvar_floor):
+    loc = LocalizedSeries({"y1": 1, "y2": -1}, 1, body)
+    got = loc.expand(NEG_POWERS_Y1, dvar_floor)
+    assert got.terms == {}
+    assert got.tcap == body.tcap - 1
+    assert got.neg_floor == {"y1": dvar_floor}
+    assert got.x_ival == {"x": (None, None)}

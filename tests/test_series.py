@@ -553,6 +553,22 @@ def test_plusplus_correction_matches_four_piece_sum(conv, window, ydeg):
         assert ser.neg_floor == want[n].neg_floor
 
 
+@pytest.mark.parametrize("window,ydeg", [(2, 0), (3, 1), (2, 2), (5, 2),
+                                         (3, 3), (4, 4), (6, 2)])
+def test_plusplus_correction_is_convention_free_and_pole_free(window, ydeg):
+    # the facts a closed form of the correction rests on: the summed
+    # terms have no pole left, so both conventions give the same cells,
+    # none with a negative exponent, and the sum vanishes at |n| <= 1
+    by_y1 = _plusplus_correction(NEG_POWERS_Y1, window, ydeg)
+    by_y2 = _plusplus_correction(NEG_POWERS_Y2, window, ydeg)
+    assert [n for n, _ in by_y1] == list(range(-window, window + 1))
+    for (n, s1), (m, s2) in zip(by_y1, by_y2):
+        assert n == m
+        assert dict(s1.terms) == dict(s2.terms), n
+        assert all(e >= 0 for cell in s1.terms for e in cell), n
+        assert bool(s1.terms) == (abs(n) >= 2), n
+
+
 # ---------------------------------------------------------------------------
 # Fraction reference of the generating-function sides
 # ---------------------------------------------------------------------------
