@@ -23,11 +23,13 @@ from .fock import FockVector, basis, vacuum
 from .quadratic import (FitError, WindowError, verify_diff_op_projection,
                         verify_modified_virasoro, verify_monomial_purity,
                         verify_virasoro)
-from .report import SCHEMA_VERSION, VerificationReport, json_text
+from .report import (SCHEMA_VERSION, VerificationReport, json_chunks,
+                     write_chunks)
 from .series import (UncertifiedError, contraction_check, convention,
                      regularized_commutator_checks)
 from .voa import (VOAConstants, axiom_suite, dilated_jacobi_check,
-                  jacobi_check, weak_comm_check)
+                  dilated_jacobi_pair_checks, jacobi_check, jacobi_pair_checks,
+                  weak_comm_check)
 
 STATE_TABLE = {
     "1": vacuum,
@@ -164,21 +166,33 @@ def cmd_verify_axioms(args):
 
 
 def cmd_verify_delta_kernel(args):
-    """verify-jacobi and verify-thm42: check(u, v, w, windows, *extra) on
-    every (u, v, w), where check is the function named by args.check and
-    extra holds the values of the arguments named in args.extra."""
-    check = globals()[args.check]
+    """verify-jacobi and verify-thm42, on every ordered pair (u, v) of the
+    listed states and every basis vector w.  Each unordered pair is
+    checked once per w: args.pair_check(u, v, w, windows, *extra) gives
+    the reports of both orders from one table set, args.check(u, u, ...)
+    the one report of a pair of equal positions.  extra holds the values
+    of the arguments named in args.extra.  The reports are listed in the
+    order of the ordered pairs, each one under its own label."""
+    check, pair_check = globals()[args.check], globals()[args.pair_check]
     box = (-args.window, args.window)
     windows = {"x0": box, "x1": box, "x2": box}
     extra = {name: getattr(args, name) for name in args.extra}
-    labelled = []
-    for uname in args.states:
-        for vname in args.states:
-            u = STATE_TABLE[uname]()
-            v = STATE_TABLE[vname]()
-            for wlabel, wvec in _basis_vectors(args.weight):
-                rep = check(u, v, wvec, windows, *extra.values())
-                labelled.append((f"u={uname} v={vname} w={wlabel}", rep))
+    states = [STATE_TABLE[name]() for name in args.states]
+    vectors = _basis_vectors(args.weight)
+    reports = {}
+    for i, u in enumerate(states):
+        for j in range(i, len(states)):
+            for k, (_, wvec) in enumerate(vectors):
+                if i == j:
+                    reports[i, i, k] = check(u, u, wvec, windows,
+                                             *extra.values())
+                else:
+                    reports[i, j, k], reports[j, i, k] = pair_check(
+                        u, states[j], wvec, windows, *extra.values())
+    labelled = [(f"u={uname} v={vname} w={wlabel}", reports[i, j, k])
+                for i, uname in enumerate(args.states)
+                for j, vname in enumerate(args.states)
+                for k, (wlabel, _) in enumerate(vectors)]
     rep = _merge_reports(args.identity,
                          {"states": list(args.states),
                           "max_weight": args.weight, "window": args.window,
@@ -296,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", nargs="+", default=["1", "h", "omega"],
                    choices=sorted(STATE_TABLE))
     p.set_defaults(handler="cmd_verify_delta_kernel", check="jacobi_check",
+                   pair_check="jacobi_pair_checks",
                    identity="jacobi-identity", extra=())
 
     p = sub.add_parser("verify-thm42", help="dilated delta-kernel identity")
@@ -306,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(STATE_TABLE))
     p.set_defaults(handler="cmd_verify_delta_kernel",
                    check="dilated_jacobi_check",
+                   pair_check="dilated_jacobi_pair_checks",
                    identity="dilated-jacobi-identity", extra=("ydeg",))
 
     p = sub.add_parser("verify-weak-comm", help="weak commutativity order "
@@ -340,12 +356,13 @@ def main(argv=None) -> int:
         # a named precondition; any other exception is a bug and raises
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = (json_text(payload) if args.format == "json" else text) + "\n"
+    # a JSON report is checked whole before its first piece is written
+    chunks = json_chunks(payload) if args.format == "json" else (text,)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(out)
+            write_chunks(fh, chunks)
     else:
-        sys.stdout.write(out)
+        write_chunks(sys.stdout, chunks)
     return code
 
 

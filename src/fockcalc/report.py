@@ -115,25 +115,55 @@ class VerificationReport:
 
 _CELL_KEYS = {"key", "lhs", "pass", "rhs", "status"}
 
+# cells per piece of ``json_chunks``
+_CHUNK_CELLS = 256
+
 
 def json_text(payload):
-    """``json.dumps(payload, indent=2, sort_keys=True)``, with a top-level
-    ``cells`` list of ``to_json_dict`` cells written here: with ``indent``
-    set, ``json.dumps`` runs its pure-Python encoder, and reports are
-    mostly cells.  A cell of any other shape raises ``ValueError``."""
+    """``json.dumps(payload, indent=2, sort_keys=True)``: the pieces of
+    ``json_chunks``, joined."""
+    return "".join(json_chunks(payload))
+
+
+def json_chunks(payload):
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` as an
+    iterator of pieces, at most ``_CHUNK_CELLS`` cells each, so a writer
+    holds one piece of the text at a time.  A top-level ``cells`` list of
+    ``to_json_dict`` cells is written here: with ``indent`` set,
+    ``json.dumps`` runs its pure-Python encoder, and reports are mostly
+    cells.  Every cell is checked before the iterator is returned: a cell
+    of any other shape raises ``ValueError`` with no text made."""
     if "cells" not in payload:
-        return json.dumps(payload, indent=2, sort_keys=True)
-    items = []
-    for c in payload["cells"]:
+        return iter((json.dumps(payload, indent=2, sort_keys=True),))
+    cells = payload["cells"]
+    for c in cells:
         if c.keys() != _CELL_KEYS or type(c["pass"]) is not bool:
             raise ValueError(f"not a report cell: {c!r}")
-        items.append(f'\n    {{\n      "key": {_quote(c["key"])},\n'
-                     f'      "lhs": {_quote(c["lhs"])},\n'
-                     f'      "pass": {"true" if c["pass"] else "false"},\n'
-                     f'      "rhs": {_quote(c["rhs"])},\n'
-                     f'      "status": {_quote(c["status"])}\n    }}')
-    cells = f"[{','.join(items)}\n  ]" if items else "[]"
     # only top-level keys sit two spaces in, as no string holds a newline
     head, tail = json.dumps({**payload, "cells": 0}, indent=2,
                             sort_keys=True).split('\n  "cells": 0', 1)
-    return f'{head}\n  "cells": {cells}{tail}'
+    return _cell_chunks(head, cells, tail)
+
+
+def _cell_chunks(head, cells, tail):
+    if not cells:
+        yield f'{head}\n  "cells": []{tail}'
+        return
+    yield f'{head}\n  "cells": ['
+    for i in range(0, len(cells), _CHUNK_CELLS):
+        yield ("," if i else "") + ",".join(
+            f'\n    {{\n      "key": {_quote(c["key"])},\n'
+            f'      "lhs": {_quote(c["lhs"])},\n'
+            f'      "pass": {"true" if c["pass"] else "false"},\n'
+            f'      "rhs": {_quote(c["rhs"])},\n'
+            f'      "status": {_quote(c["status"])}\n    }}'
+            for c in cells[i:i + _CHUNK_CELLS])
+    yield f"\n  ]{tail}"
+
+
+def write_chunks(out, chunks):
+    """Write the pieces of a text to the stream out, one at a time, and
+    end it with a newline."""
+    for chunk in chunks:
+        out.write(chunk)
+    out.write("\n")

@@ -101,17 +101,23 @@ def mode_apply(state: FockVector, n: int, w: FockVector) -> FockVector:
 
     The sum is taken in ints from ``_mode_mon`` on the scale D =
     den(state) den(w), den the lcm of a vector's coefficient
-    denominators, and divided by D once.  On the scale D = 1 (int-valued
-    state and w in particular) the result keeps its int values.
+    denominators, and divided by D once.  On the scale D = 1 the
+    coefficients are summed as they are, so int-valued state and w give
+    an int-valued result.
     """
     ds, dw = _den(state), _den(w)
-    # den(v) is the lcm of v's denominators, so each scaled coefficient
-    # c * den(v) is an exact int
-    wi = [(wmon, wc.numerator * (dw // wc.denominator))
-          for wmon, wc in w.terms.items()]
+    if ds * dw == 1:
+        # whole coefficients, summed as they are
+        si, wi = state.terms.items(), w.terms.items()
+    else:
+        # den(v) is the lcm of v's denominators, so each scaled
+        # coefficient c * den(v) is an exact int
+        si = [(mon, c.numerator * (ds // c.denominator))
+              for mon, c in state.terms.items()]
+        wi = [(mon, c.numerator * (dw // c.denominator))
+              for mon, c in w.terms.items()]
     acc = {}
-    for smon, sc in state.terms.items():
-        sc = sc.numerator * (ds // sc.denominator)
+    for smon, sc in si:
         for wmon, wc in wi:
             table = _mode_mon(smon, n, wmon).terms
             if table:
@@ -221,7 +227,7 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
     )
     mons = [m for w in range(max_weight + 1) for m in weight_basis(w)]
     vecs = {m: FockVector({m: 1}) for m in mons}
-    one = vacuum()
+    one = FockVector({(): 1})
     two_omega = FockVector({(1, 1): 1})
     memos = {1: {}, 2: {}, 4: {}}
     window = range(-mode_window, mode_window + 1)
@@ -399,8 +405,13 @@ class _ProductTables:
         # the fills capture the inner tables, not self: a reference cycle
         # would keep every table alive past its check until a gc pass
         uw = self.uw = functools.cache(lambda e: coef(u, e, w))
-        vw = self.vw = functools.cache(lambda e: coef(v, e, w))
         self.v_uw = functools.cache(lambda e, e_in: coef(v, e, uw(e_in)))
+        # for u = v the two orders share one table set
+        self.same = u == v
+        if self.same:
+            self.vw, self.u_vw = self.uw, self.v_uw
+            return
+        vw = self.vw = functools.cache(lambda e: coef(v, e, w))
         self.u_vw = functools.cache(lambda e, e_in: coef(u, e, vw(e_in)))
 
 
@@ -412,23 +423,44 @@ def _x_tables(u, v, w, ww) -> _ProductTables:
                           _on_scale(w, dw), ww, ww)
 
 
-def _lhs_cell(tab: _ProductTables, a0, a1, a2) -> dict:
-    """Coefficient of x0^a0 x1^a1 x2^a2 in the two product terms applied
-    to w, delta arguments expanded in nonnegative powers of the inner
-    variable: sum_k C(n,k) (-1)^k [u.(v.w) - (-1)^n v.(u.w)], n = -a0-1.
-    An int term map on the tables' scale, zero sums kept."""
+def _half_sum(tab: _ProductTables, a0, swap: bool, b1, b2) -> dict:
+    """P_{s,t}(a0, b1, b2) = sum_k C(n, k) (-1)^k [s.(t.w)] at the
+    x-exponents (b1 - n + k, b2 - k), n = -a0 - 1: one product term of
+    the identity, delta arguments expanded in nonnegative powers of the
+    inner variable, with (s, t) = (u, v), or (v, u) if swap.  Only the k
+    with t.w nonzero at x^(b2 - k) enter.  An int term map on the
+    tables' scale, zero sums kept."""
+    if swap:
+        inner, outer, reach = tab.uw, tab.v_uw, tab.u_reach
+    else:
+        inner, outer, reach = tab.vw, tab.u_vw, tab.v_reach
     n = -a0 - 1
+    kmax = b2 + reach
+    if n >= 0:
+        kmax = min(kmax, n)
     acc = {}
-    for sign, e_in, e_out, reach, inner, outer in (
-            (1, a2, a1, tab.v_reach, tab.vw, tab.u_vw),
-            (-(-1) ** (n % 2), a1, a2, tab.u_reach, tab.uw, tab.v_uw)):
-        kmax = e_in + reach
-        if n >= 0:
-            kmax = min(kmax, n)
-        for k in range(kmax + 1):
-            c = comb_int(n, k) * (-1) ** k * sign
-            if c and inner(e_in - k).terms:
-                _iaxpy(acc, outer(e_out - n + k, e_in - k).terms, c)
+    for k in range(kmax + 1):
+        c = comb_int(n, k) * (-1) ** k
+        if c and inner(b2 - k).terms:
+            _iaxpy(acc, outer(b1 - n + k, b2 - k).terms, c)
+    return acc
+
+
+def _lhs_ints(half, swap: bool, a0, a1, a2) -> dict:
+    """Coefficient of x0^a0 x1^a1 x2^a2 in the two product terms of the
+    (u, v) identity, or of the (v, u) one if swap, from the half sums
+    half(swap, b1, b2) = P(a0, b1, b2) of ``_half_sum``:
+
+        P_{u,v}(a0, a1, a2) + (-1)^a0 P_{v,u}(a0, a2, a1),
+
+    the second term being the first of the other order at x1 <-> x2.  An
+    int term map, zero sums kept; it may be a half sum itself, so it is
+    read-only."""
+    first, second = half(swap, a1, a2), half(not swap, a2, a1)
+    if not second:
+        return first
+    acc = dict(first)
+    _iaxpy(acc, second, -1 if a0 % 2 else 1)
     return acc
 
 
@@ -478,6 +510,73 @@ def _check_box(rep: VerificationReport, windows: dict, top: int, den: int,
     return rep
 
 
+def _check_orders(tab: _ProductTables, windows: dict, top: int, den: int,
+                  sides: list) -> list:
+    """The left-side engine of both identities: checks the (u, v)
+    identity against sides[0] = (rep, rhs) and, when a second side is
+    given, the (v, u) identity against sides[1]; rhs(a0, a1, a2) is the
+    order's iterate term as an int term map.  Returns the reports.
+
+    The box goes one x0 slice at a time, each order in turn
+    (``_check_box`` on the slice), and a slice's half sums are memoised
+    across the orders: with both orders each half sum enters one cell of
+    each, and is summed once.
+    """
+    lo0, hi0 = windows["x0"]
+    for a0 in range(lo0, hi0 + 1):
+        half = _slice_half_sums(tab, a0)
+        box = {**windows, "x0": (a0, a0)}
+        for swap, (rep, rhs) in enumerate(sides):
+            _check_box(rep, box, top, den,
+                       functools.partial(_cell_sides, half, bool(swap), rhs))
+    return [rep for rep, _ in sides]
+
+
+def _slice_half_sums(tab: _ProductTables, a0):
+    """half(swap, b1, b2) = ``_half_sum(tab, a0, swap, b1, b2)``, each
+    summed once.  For u = v the half sums of the two orders coincide and
+    share one memo."""
+    sums = functools.cache(functools.partial(_half_sum, tab, a0))
+    if tab.same:
+        return lambda swap, b1, b2: sums(False, b1, b2)
+    return sums
+
+
+def _cell_sides(half, swap, rhs, a0, a1, a2) -> tuple:
+    return _lhs_ints(half, swap, a0, a1, a2), rhs(a0, a1, a2)
+
+
+def _delta_report(identity: str, windows: dict, **extra) -> VerificationReport:
+    return VerificationReport(
+        identity=identity,
+        parameters={"windows": {k: list(vv) for k, vv in sorted(windows.items())},
+                    **extra},
+    )
+
+
+def _jacobi_rhs(s: FockVector, t: FockVector, w: FockVector, top: int):
+    """rhs(a0, a1, a2): the iterate term of the (s, t) identity for the
+    int-valued s, t and w, from tables filled the first time a cell asks;
+    s_j t = 0 for j >= top."""
+    st = functools.cache(lambda j: mode_apply(s, j, t))
+    iterate = functools.cache(lambda j, m: mode_apply(st(j), m, w))
+    return functools.partial(_jacobi_rhs_cell, st, iterate, top)
+
+
+def _jacobi_reports(u, v, w, windows: dict, orders: int) -> list:
+    """The report of the (u, v) identity and, for orders = 2, of the
+    (v, u) one, from one set of product tables."""
+    wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
+    du, dv, dw = _den(u), _den(v), _den(w)
+    ui, vi, wi = _on_scale(u, du), _on_scale(v, dv), _on_scale(w, dw)
+    tab = _ProductTables(lambda s, e, t: mode_apply(s, -e - 1, t),
+                         ui, vi, wi, wu + ww, wv + ww)
+    sides = [(_delta_report("jacobi-identity", windows),
+              _jacobi_rhs(s, t, wi, wu + wv))
+             for s, t in ((ui, vi), (vi, ui))[:orders]]
+    return _check_orders(tab, windows, wu + wv + ww, du * dv * dw, sides)
+
+
 def jacobi_check(u: FockVector, v: FockVector, w: FockVector,
                  windows: dict) -> VerificationReport:
     """The three-term delta-kernel identity, checked cell by cell on the
@@ -491,21 +590,14 @@ def jacobi_check(u: FockVector, v: FockVector, w: FockVector,
     lcm of a vector's denominators) every table entry is an int-valued
     vector and every cell an int term map.
     """
-    rep = VerificationReport(
-        identity="jacobi-identity",
-        parameters={"windows": {k: list(vv) for k, vv in sorted(windows.items())}},
-    )
-    wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
-    du, dv, dw = _den(u), _den(v), _den(w)
-    ui, vi, wi = _on_scale(u, du), _on_scale(v, dv), _on_scale(w, dw)
-    tab = _ProductTables(lambda s, e, t: mode_apply(s, -e - 1, t),
-                         ui, vi, wi, wu + ww, wv + ww)
-    uv = functools.cache(lambda j: mode_apply(ui, j, vi))
-    iterate = functools.cache(lambda j, m: mode_apply(uv(j), m, wi))
-    return _check_box(rep, windows, wu + wv + ww, du * dv * dw,
-                      lambda a0, a1, a2: (
-                          _lhs_cell(tab, a0, a1, a2),
-                          _jacobi_rhs_cell(uv, iterate, wu + wv, a0, a1, a2)))
+    return _jacobi_reports(u, v, w, windows, 1)[0]
+
+
+def jacobi_pair_checks(u: FockVector, v: FockVector, w: FockVector,
+                       windows: dict) -> list:
+    """[jacobi_check(u, v, w, windows), jacobi_check(v, u, w, windows)],
+    with each product-term sum and mode table computed once for both."""
+    return _jacobi_reports(u, v, w, windows, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +648,8 @@ def _dilated_lhs_cell(u, v, w, ww, a0, a1, a2) -> FockVector:
     """Coefficient of x0^a0 x1^a1 x2^a2 in the two product terms built on
     the weight-shifted operators, delta arguments simplified through the
     log relations (nonnegative powers of the inner variable)."""
-    return _off_scale(_lhs_cell(_x_tables(u, v, w, ww), a0, a1, a2),
+    half = functools.partial(_half_sum, _x_tables(u, v, w, ww), a0)
+    return _off_scale(_lhs_ints(half, False, a0, a1, a2),
                       _den(u) * _den(v) * _den(w))
 
 
@@ -595,6 +688,30 @@ def _dilated_rhs_cell(g_by_q: dict, q_min: int, w, a0, a1, a2) -> FockVector:
                       den_g * dw)
 
 
+def _dilated_rhs(s: FockVector, t: FockVector, w: FockVector, r_order: int,
+                 den: int):
+    """rhs(a0, a1, a2): the iterate term of the (s, t) dilated identity,
+    for the int-valued w, on the scale den = den(s) den(t) of the
+    change-of-variables states."""
+    g_by_q = _compose_zhu_with_log(s, t, r_order)
+    return functools.partial(_dilated_rhs_ints, g_by_q, min(g_by_q, default=0),
+                             _gw_table(g_by_q, den, w))
+
+
+def _dilated_reports(u, v, w, windows: dict, ydeg: int, orders: int) -> list:
+    """The report of the (u, v) dilated identity and, for orders = 2, of
+    the (v, u) one, from one set of X-mode tables."""
+    wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
+    r_order = max(ydeg, windows["x0"][1] + wu + wv + 1)
+    du, dv, dw = _den(u), _den(v), _den(w)
+    wi = _on_scale(w, dw)
+    sides = [(_delta_report("dilated-jacobi-identity", windows, ydeg=ydeg),
+              _dilated_rhs(s, t, wi, r_order, du * dv))
+             for s, t in ((u, v), (v, u))[:orders]]
+    return _check_orders(_x_tables(u, v, w, ww), windows, wu + wv + ww,
+                         du * dv * dw, sides)
+
+
 def dilated_jacobi_check(u: FockVector, v: FockVector, w: FockVector,
                          windows: dict, ydeg: int) -> VerificationReport:
     """The dilation-variable Jacobi identity: delta kernels carry the
@@ -610,19 +727,11 @@ def dilated_jacobi_check(u: FockVector, v: FockVector, w: FockVector,
     binomial weights, so each g_q is a multiple of 1/(den(u) den(v)); a
     g_q off that scale raises.
     """
-    rep = VerificationReport(
-        identity="dilated-jacobi-identity",
-        parameters={"windows": {k: list(vv) for k, vv in sorted(windows.items())},
-                    "ydeg": ydeg},
-    )
-    wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
-    r_order = max(ydeg, windows["x0"][1] + wu + wv + 1)
-    g_by_q = _compose_zhu_with_log(u, v, r_order)
-    q_min = min(g_by_q, default=0)
-    du, dv, dw = _den(u), _den(v), _den(w)
-    tab = _x_tables(u, v, w, ww)
-    gw = _gw_table(g_by_q, du * dv, _on_scale(w, dw))
-    return _check_box(rep, windows, wu + wv + ww, du * dv * dw,
-                      lambda a0, a1, a2: (
-                          _lhs_cell(tab, a0, a1, a2),
-                          _dilated_rhs_ints(g_by_q, q_min, gw, a0, a1, a2)))
+    return _dilated_reports(u, v, w, windows, ydeg, 1)[0]
+
+
+def dilated_jacobi_pair_checks(u: FockVector, v: FockVector, w: FockVector,
+                               windows: dict, ydeg: int) -> list:
+    """[dilated_jacobi_check(u, v, ...), dilated_jacobi_check(v, u, ...)],
+    with each product-term sum and X-mode table computed once for both."""
+    return _dilated_reports(u, v, w, windows, ydeg, 2)

@@ -27,6 +27,11 @@ GOLDEN = {
         "verify-jacobi --weight 1 --window 2",
     "thm42_w1_win2_ydeg2.json":
         "verify-thm42 --weight 1 --window 2 --ydeg 2",
+    # a repeated state: each ordered pair of positions lists its own cells
+    "jacobi_hh_w1_win1.json":
+        "verify-jacobi --states h h --weight 1 --window 1",
+    "thm42_hh_w1_win1_ydeg2.json":
+        "verify-thm42 --states h h --weight 1 --window 1 --ydeg 2",
     "contraction_w2_win3.json":
         "verify-contraction --weight 2 --window 3",
     "axioms_w2_mw3.json":

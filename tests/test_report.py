@@ -1,4 +1,5 @@
-"""Tests for the report records and the JSON writer ``report.json_text``."""
+"""Tests for the report records and the JSON writer: ``report.json_text``
+and the pieces ``report.json_chunks`` writes it in."""
 
 import json
 from pathlib import Path
@@ -6,7 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fockcalc.report import FAIL, PASS, VerificationReport, json_text
+from fockcalc import cli, report
+from fockcalc.report import (FAIL, PASS, VerificationReport, json_chunks,
+                             json_text)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -97,3 +100,47 @@ def test_malformed_cell_raises(cell):
     payload = {"schema": 1, "data": {}, "cells": [good, cell]}
     with pytest.raises(ValueError, match="not a report cell"):
         json_text(payload)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.iterdir()))
+def test_pieces_hold_at_most_a_chunk_of_cells(name):
+    raw = (GOLDEN_DIR / name).read_text()
+    pieces = list(json_chunks(json.loads(raw)))
+    assert "".join(pieces) == raw[:-1]
+    assert all(p.count('"status": ') <= report._CHUNK_CELLS for p in pieces)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 6])
+def test_pieces_join_to_the_text_at_every_chunk_size(size, monkeypatch):
+    monkeypatch.setattr(report, "_CHUNK_CELLS", size)
+    cells = [{"key": f"k{i}", "lhs": "1", "pass": i != 3, "rhs": "1",
+              "status": PASS if i != 3 else FAIL} for i in range(5)]
+    for n in range(6):
+        payload = {"schema": 1, "data": {"cells": 1}, "cells": cells[:n],
+                   "summary": {}}
+        pieces = list(json_chunks(payload))
+        assert "".join(pieces) == reference(payload)
+        # the head, one piece per chunk of cells, the tail
+        assert len(pieces) == (2 + -(-n // size) if n else 1)
+
+
+def test_malformed_cell_raises_before_any_piece():
+    good = {"key": "k", "lhs": "1", "pass": True, "rhs": "1", "status": PASS}
+    payload = {"schema": 1, "data": {}, "cells": [good] * 600 + [{}]}
+    with pytest.raises(ValueError, match="not a report cell"):
+        json_chunks(payload)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_main_writes_nothing_for_a_malformed_cell(to_file, tmp_path,
+                                                  monkeypatch, capsys):
+    good = {"key": "k", "lhs": "1", "pass": True, "rhs": "1", "status": PASS}
+    payload = {"schema": 1, "data": {}, "cells": [good] * 600 + [{}]}
+    monkeypatch.setattr(cli, "cmd_zeta", lambda args: (0, payload, ""))
+    path = tmp_path / "report.json"
+    argv = ["--format", "json"] + (["--output", str(path)] if to_file
+                                   else []) + ["zeta"]
+    with pytest.raises(ValueError, match="not a report cell"):
+        cli.main(argv)
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
