@@ -23,7 +23,7 @@ from .fock import FockVector, basis, vacuum
 from .quadratic import (FitError, WindowError, verify_diff_op_projection,
                         verify_modified_virasoro, verify_monomial_purity,
                         verify_virasoro)
-from .report import (SCHEMA_VERSION, VerificationReport, json_chunks,
+from .report import (SCHEMA_VERSION, Cell, VerificationReport, json_chunks,
                      write_chunks)
 from .series import (UncertifiedError, contraction_check, convention,
                      regularized_commutator_checks)
@@ -167,32 +167,46 @@ def cmd_verify_axioms(args):
 
 def cmd_verify_delta_kernel(args):
     """verify-jacobi and verify-thm42, on every ordered pair (u, v) of the
-    listed states and every basis vector w.  Each unordered pair is
-    checked once per w: args.pair_check(u, v, w, windows, *extra) gives
-    the reports of both orders from one table set, args.check(u, u, ...)
-    the one report of a pair of equal positions.  extra holds the values
-    of the arguments named in args.extra.  The reports are listed in the
-    order of the ordered pairs, each one under its own label."""
+    listed states and every basis vector w.  Each unordered pair of
+    distinct state names is checked once per w: args.pair_check(u, v, w,
+    windows, *extra) gives the reports of both orders from one table set,
+    args.check(u, u, ...) the one report of a name paired with itself.
+    extra holds the values of the arguments named in args.extra.  The
+    reports are listed in the order of the ordered pairs of positions,
+    each one under its own label, so a repeated name lists its checks
+    again."""
     check, pair_check = globals()[args.check], globals()[args.pair_check]
     box = (-args.window, args.window)
     windows = {"x0": box, "x1": box, "x2": box}
     extra = {name: getattr(args, name) for name in args.extra}
-    states = [STATE_TABLE[name]() for name in args.states]
+    names = list(dict.fromkeys(args.states))
+    states = [STATE_TABLE[name]() for name in names]
     vectors = _basis_vectors(args.weight)
     reports = {}
     for i, u in enumerate(states):
         for j in range(i, len(states)):
             for k, (_, wvec) in enumerate(vectors):
+                uv, vu = (names[i], names[j], k), (names[j], names[i], k)
                 if i == j:
-                    reports[i, i, k] = check(u, u, wvec, windows,
-                                             *extra.values())
+                    reports[uv] = check(u, u, wvec, windows, *extra.values())
                 else:
-                    reports[i, j, k], reports[j, i, k] = pair_check(
+                    reports[uv], reports[vu] = pair_check(
                         u, states[j], wvec, windows, *extra.values())
-    labelled = [(f"u={uname} v={vname} w={wlabel}", reports[i, j, k])
-                for i, uname in enumerate(args.states)
-                for j, vname in enumerate(args.states)
-                for k, (wlabel, _) in enumerate(vectors)]
+    labelled = []
+    listed = set()
+    for uname in args.states:
+        for vname in args.states:
+            for k, (wlabel, _) in enumerate(vectors):
+                rep = reports[uname, vname, k]
+                if (uname, vname, k) in listed:
+                    # _merge_reports relabels cells in place, so a report
+                    # listed again is merged from copies of its cells
+                    cells = [Cell(c.key, c.lhs, c.rhs, c.status)
+                             for c in rep.cells]
+                    rep = VerificationReport(rep.identity, rep.parameters,
+                                             cells, rep.data, rep.bulk_passed)
+                listed.add((uname, vname, k))
+                labelled.append((f"u={uname} v={vname} w={wlabel}", rep))
     rep = _merge_reports(args.identity,
                          {"states": list(args.states),
                           "max_weight": args.weight, "window": args.window,

@@ -96,16 +96,21 @@ def _mode_mon(state: tuple, n: int, target: tuple) -> FockVector:
     return FockVector(MappingProxyType(_nonzero(terms)))
 
 
+_INT = frozenset((int,))
+
+
 def mode_apply(state: FockVector, n: int, w: FockVector) -> FockVector:
     """Bilinear extension of the monomial mode action.
 
     The sum is taken in ints from ``_mode_mon`` on the scale D =
     den(state) den(w), den the lcm of a vector's coefficient
-    denominators, and divided by D once.  On the scale D = 1 the
-    coefficients are summed as they are, so int-valued state and w give
-    an int-valued result.
+    denominators, and divided by D once.  A vector whose coefficients
+    are all ints has den 1 without taking the lcm.  On the scale D = 1
+    the coefficients are summed as they are, so int-valued state and w
+    give an int-valued result.
     """
-    ds, dw = _den(state), _den(w)
+    ds = 1 if _INT.issuperset(map(type, state.terms.values())) else _den(state)
+    dw = 1 if _INT.issuperset(map(type, w.terms.values())) else _den(w)
     if ds * dw == 1:
         # whole coefficients, summed as they are
         si, wi = state.terms.items(), w.terms.items()
@@ -423,127 +428,91 @@ def _x_tables(u, v, w, ww) -> _ProductTables:
                           _on_scale(w, dw), ww, ww)
 
 
-def _half_sum(tab: _ProductTables, a0, swap: bool, b1, b2) -> dict:
-    """P_{s,t}(a0, b1, b2) = sum_k C(n, k) (-1)^k [s.(t.w)] at the
-    x-exponents (b1 - n + k, b2 - k), n = -a0 - 1: one product term of
-    the identity, delta arguments expanded in nonnegative powers of the
-    inner variable, with (s, t) = (u, v), or (v, u) if swap.  Only the k
-    with t.w nonzero at x^(b2 - k) enter.  An int term map on the
-    tables' scale, zero sums kept."""
-    if swap:
-        inner, outer, reach = tab.uw, tab.v_uw, tab.u_reach
-    else:
-        inner, outer, reach = tab.vw, tab.u_vw, tab.v_reach
+def _slice_half_sums(tab: _ProductTables, a0):
+    """half(swap, b1, b2) = P_{s,t}(a0, b1, b2) = sum_k C(n, k) (-1)^k
+    [s.(t.w)] at the x-exponents (b1 - n + k, b2 - k), n = -a0 - 1: one
+    product term of the identity, delta arguments expanded in nonnegative
+    powers of the inner variable, with (s, t) = (u, v), or (v, u) if
+    swap.  An int term map on the tables' scale, zero sums kept, summed
+    once per x0 slice.
+
+    The signed binomials of a half sum depend on (swap, b2) only, and so
+    does the test that t.w is nonzero at x^(b2 - k): both are listed once
+    per slice as (k - n, b2 - k, C(n, k) (-1)^k), and every b1 sums the
+    same list."""
     n = -a0 - 1
-    kmax = b2 + reach
-    if n >= 0:
-        kmax = min(kmax, n)
-    acc = {}
-    for k in range(kmax + 1):
-        c = comb_int(n, k) * (-1) ** k
-        if c and inner(b2 - k).terms:
-            _iaxpy(acc, outer(b1 - n + k, b2 - k).terms, c)
-    return acc
 
+    @functools.cache
+    def terms(swap, b2):
+        inner, reach = (tab.uw, tab.u_reach) if swap else (tab.vw, tab.v_reach)
+        kmax = b2 + reach if n < 0 else min(b2 + reach, n)
+        return [(k - n, b2 - k, c) for k in range(kmax + 1)
+                if (c := comb_int(n, k) * (-1) ** k) and inner(b2 - k).terms]
 
-def _lhs_ints(half, swap: bool, a0, a1, a2) -> dict:
-    """Coefficient of x0^a0 x1^a1 x2^a2 in the two product terms of the
-    (u, v) identity, or of the (v, u) one if swap, from the half sums
-    half(swap, b1, b2) = P(a0, b1, b2) of ``_half_sum``:
-
-        P_{u,v}(a0, a1, a2) + (-1)^a0 P_{v,u}(a0, a2, a1),
-
-    the second term being the first of the other order at x1 <-> x2.  An
-    int term map, zero sums kept; it may be a half sum itself, so it is
-    read-only."""
-    first, second = half(swap, a1, a2), half(not swap, a2, a1)
-    if not second:
-        return first
-    acc = dict(first)
-    _iaxpy(acc, second, -1 if a0 % 2 else 1)
-    return acc
-
-
-def _jacobi_rhs_cell(uv, iterate, top, a0, a1, a2) -> dict:
-    """Coefficient of x0^a0 x1^a1 x2^a2 in the iterate term, from the int
-    tables uv(j) = u_j v and iterate(j, m) = (u_j v)_m w; u_j v = 0 for
-    j >= top.  Zero sums are kept."""
-    acc = {}
-    for j in range(-a0 - 1, top):
-        k = a0 + j + 1
-        c = comb_int(a0 + a1 + j + 1, k) * (-1) ** k
-        if c and uv(j).terms:
-            _iaxpy(acc, iterate(j, -(a0 + a1 + a2 + j + 3)).terms, c)
-    return acc
-
-
-def _check_box(rep: VerificationReport, windows: dict, top: int, den: int,
-               cell) -> VerificationReport:
-    """Compare cell(a0, a1, a2) -> (lhs, rhs) on every cell of the box.
-
-    Both sides are int term maps on the scale den: the cell's vectors are
-    lhs / den and rhs / den.  They are compared as ints with the zero
-    entries dropped, and rendered from the ints, one memo of coefficient
-    strings per box.  Cells with top + a0 + a1 + a2 + 1 < 0 vanish on
-    both sides by weight and count as bulk passes, as do cells where both
-    sides are zero.
-    """
-    lo0, hi0 = windows["x0"]
-    lo1, hi1 = windows["x1"]
-    lo2, hi2 = windows["x2"]
-    memo = {}
-    for a0 in range(lo0, hi0 + 1):
-        for a1 in range(lo1, hi1 + 1):
-            for a2 in range(lo2, hi2 + 1):
-                if top + a0 + a1 + a2 + 1 < 0:
-                    rep.bulk_passed += 1
-                    continue
-                lhs, rhs = map(_nonzero, cell(a0, a1, a2))
-                if lhs or rhs:
-                    # equal vectors render to one string
-                    text = _int_str(lhs, den, memo)
-                    rep.add_cell(f"x0^{a0} x1^{a1} x2^{a2}", text,
-                                 text if lhs == rhs
-                                 else _int_str(rhs, den, memo))
-                else:
-                    rep.bulk_passed += 1
-    return rep
+    @functools.cache
+    def half(swap, b1, b2):
+        outer = tab.v_uw if swap else tab.u_vw
+        acc = {}
+        for d, e, c in terms(swap, b2):
+            _iaxpy(acc, outer(b1 + d, e).terms, c)
+        return acc
+    return half
 
 
 def _check_orders(tab: _ProductTables, windows: dict, top: int, den: int,
                   sides: list) -> list:
-    """The left-side engine of both identities: checks the (u, v)
-    identity against sides[0] = (rep, rhs) and, when a second side is
-    given, the (v, u) identity against sides[1]; rhs(a0, a1, a2) is the
-    order's iterate term as an int term map.  Returns the reports.
+    """The cell engine of both identities: checks the (u, v) identity
+    against sides[0] = (rep, terms, table) and, when a second side is
+    given, the (v, u) identity against sides[1].  Returns the reports.
 
-    The box goes one x0 slice at a time, each order in turn
-    (``_check_box`` on the slice), and a slice's half sums are memoised
-    across the orders: with both orders each half sum enters one cell of
-    each, and is summed once.
+    The left side of the cell (a0, a1, a2) is
+
+        P_{u,v}(a0, a1, a2) + (-1)^a0 P_{v,u}(a0, a2, a1)
+
+    from the half sums of ``_slice_half_sums``, the second term being the
+    first of the other order at x1 <-> x2, so with both orders each half
+    sum enters one cell of each; for u = v the orders share them.  The
+    right side is sum c table(i, a0 + a1 + a2) over the (i, c) of the
+    list terms(a0, a1), the order's iterate term.  Both sides are int
+    term maps on the scale den, compared with the zero entries dropped
+    and rendered from the ints, one memo of coefficient strings per
+    check; equal sides render to one string.  Cells with top + a0 + a1 +
+    a2 + 1 < 0 vanish on both sides by weight and count as bulk passes,
+    as do cells where both sides are zero.
     """
-    lo0, hi0 = windows["x0"]
+    (lo0, hi0), (lo1, hi1), (lo2, hi2) = (windows[x] for x in ("x0", "x1",
+                                                                "x2"))
+    r2 = range(lo2, hi2 + 1)
+    memo = {}
     for a0 in range(lo0, hi0 + 1):
         half = _slice_half_sums(tab, a0)
-        box = {**windows, "x0": (a0, a0)}
-        for swap, (rep, rhs) in enumerate(sides):
-            _check_box(rep, box, top, den,
-                       functools.partial(_cell_sides, half, bool(swap), rhs))
-    return [rep for rep, _ in sides]
-
-
-def _slice_half_sums(tab: _ProductTables, a0):
-    """half(swap, b1, b2) = ``_half_sum(tab, a0, swap, b1, b2)``, each
-    summed once.  For u = v the half sums of the two orders coincide and
-    share one memo."""
-    sums = functools.cache(functools.partial(_half_sum, tab, a0))
-    if tab.same:
-        return lambda swap, b1, b2: sums(False, b1, b2)
-    return sums
-
-
-def _cell_sides(half, swap, rhs, a0, a1, a2) -> tuple:
-    return _lhs_ints(half, swap, a0, a1, a2), rhs(a0, a1, a2)
+        sign = -1 if a0 % 2 else 1
+        for swap, (rep, rhs_terms, table) in enumerate(sides):
+            first = bool(swap) and not tab.same
+            second = not swap and not tab.same
+            for a1 in range(lo1, hi1 + 1):
+                row = range(max(lo2, -(top + a0 + a1 + 1)), hi2 + 1)
+                rep.bulk_passed += len(r2) - len(row)
+                if not row:
+                    continue
+                terms = rhs_terms(a0, a1)
+                for a2 in row:
+                    lhs = half(first, a1, a2)
+                    if other := half(second, a2, a1):
+                        lhs = dict(lhs)
+                        _iaxpy(lhs, other, sign)
+                    rhs = {}
+                    for i, c in terms:
+                        _iaxpy(rhs, table(i, a0 + a1 + a2).terms, c)
+                    lhs, rhs = _nonzero(lhs), _nonzero(rhs)
+                    if lhs or rhs:
+                        text = _int_str(lhs, den, memo)
+                        rep.add_cell(f"x0^{a0} x1^{a1} x2^{a2}", text,
+                                     text if lhs == rhs
+                                     else _int_str(rhs, den, memo))
+                    else:
+                        rep.bulk_passed += 1
+    return [rep for rep, _, _ in sides]
 
 
 def _delta_report(identity: str, windows: dict, **extra) -> VerificationReport:
@@ -555,12 +524,19 @@ def _delta_report(identity: str, windows: dict, **extra) -> VerificationReport:
 
 
 def _jacobi_rhs(s: FockVector, t: FockVector, w: FockVector, top: int):
-    """rhs(a0, a1, a2): the iterate term of the (s, t) identity for the
-    int-valued s, t and w, from tables filled the first time a cell asks;
-    s_j t = 0 for j >= top."""
+    """(terms, table): the iterate term of the (s, t) identity for the
+    int-valued s, t and w, as ``_check_orders`` sums it.  table(j, e) is
+    (s_j t)_m w at m = -(e + j + 3), filled the first time a cell asks;
+    terms(a0, a1) lists the (j, C(a0 + a1 + j + 1, k) (-1)^k), k = a0 +
+    j + 1, with s_j t nonzero; s_j t = 0 for j >= top."""
     st = functools.cache(lambda j: mode_apply(s, j, t))
-    iterate = functools.cache(lambda j, m: mode_apply(st(j), m, w))
-    return functools.partial(_jacobi_rhs_cell, st, iterate, top)
+
+    def terms(a0, a1):
+        return [(j, c) for j in range(-a0 - 1, top)
+                if (c := comb_int(a0 + a1 + j + 1, a0 + j + 1)
+                    * (-1) ** (a0 + j + 1)) and st(j).terms]
+    return terms, functools.cache(
+        lambda j, e: mode_apply(st(j), -(e + j + 3), w))
 
 
 def _jacobi_reports(u, v, w, windows: dict, orders: int) -> list:
@@ -572,7 +548,7 @@ def _jacobi_reports(u, v, w, windows: dict, orders: int) -> list:
     tab = _ProductTables(lambda s, e, t: mode_apply(s, -e - 1, t),
                          ui, vi, wi, wu + ww, wv + ww)
     sides = [(_delta_report("jacobi-identity", windows),
-              _jacobi_rhs(s, t, wi, wu + wv))
+              *_jacobi_rhs(s, t, wi, wu + wv))
              for s, t in ((ui, vi), (vi, ui))[:orders]]
     return _check_orders(tab, windows, wu + wv + ww, du * dv * dw, sides)
 
@@ -648,54 +624,40 @@ def _dilated_lhs_cell(u, v, w, ww, a0, a1, a2) -> FockVector:
     """Coefficient of x0^a0 x1^a1 x2^a2 in the two product terms built on
     the weight-shifted operators, delta arguments simplified through the
     log relations (nonnegative powers of the inner variable)."""
-    half = functools.partial(_half_sum, _x_tables(u, v, w, ww), a0)
-    return _off_scale(_lhs_ints(half, False, a0, a1, a2),
-                      _den(u) * _den(v) * _den(w))
+    half = _slice_half_sums(_x_tables(u, v, w, ww), a0)
+    acc = dict(half(False, a1, a2))
+    _iaxpy(acc, half(True, a2, a1), -1 if a0 % 2 else 1)
+    return _off_scale(acc, _den(u) * _den(v) * _den(w))
 
 
-def _gw_table(g_by_q: dict, den: int, w: FockVector):
-    """gw(q, c): the coefficient of x^c in X(den g_q, x)w for an int-valued
-    w, as an int-valued vector, filled lazily; each g_q is put on the
-    scale den the first time a cell asks for it."""
+def _dilated_rhs(g_by_q: dict, q_min: int, den: int, w: FockVector):
+    """(terms, table): the iterate term built on the ratio-expanded
+    change-of-variables states g_q, for the int-valued w, as
+    ``_check_orders`` sums it.  table(q, e) is the coefficient of
+    x^(e + 1) in X(den g_q, x)w, an int-valued vector filled the first
+    time a cell asks, each g_q put on the scale den then; terms(a0, a1)
+    lists the (a0 - k, C(a0 + a1, k) (-1)^k) with g_(a0 - k) nonzero."""
     field = functools.cache(lambda q: _weight_field(g_by_q[q], den))
-    return functools.cache(lambda q, c: _x_coef(field(q), c, w))
 
-
-def _dilated_rhs_ints(g_by_q: dict, q_min: int, gw, a0, a1, a2) -> dict:
-    """Coefficient of x0^a0 x1^a1 x2^a2 in the iterate term built on the
-    ratio-expanded change-of-variables state, from a ``_gw_table``; an
-    int term map on its scale, zero sums kept."""
-    n = a0 + a1
-    c2 = a0 + a1 + a2 + 1
-    acc = {}
-    kmax = a0 - q_min
-    if n >= 0:
-        kmax = min(kmax, n)
-    for k in range(kmax + 1):
-        c = comb_int(n, k) * (-1) ** k
-        if c and a0 - k in g_by_q:
-            _iaxpy(acc, gw(a0 - k, c2).terms, c)
-    return acc
+    def terms(a0, a1):
+        n = a0 + a1
+        kmax = a0 - q_min if n < 0 else min(a0 - q_min, n)
+        return [(a0 - k, c) for k in range(kmax + 1)
+                if (c := comb_int(n, k) * (-1) ** k) and a0 - k in g_by_q]
+    return terms, functools.cache(lambda q, e: _x_coef(field(q), e + 1, w))
 
 
 def _dilated_rhs_cell(g_by_q: dict, q_min: int, w, a0, a1, a2) -> FockVector:
-    """``_dilated_rhs_ints`` as a Fraction-valued vector, on the scale
-    den_g den(w), den_g the lcm of the denominators of the g_q."""
+    """Coefficient of x0^a0 x1^a1 x2^a2 in the iterate term of the
+    dilated identity, summed in ints on the scale den_g den(w), den_g the
+    lcm of the denominators of the g_q."""
     den_g = lcm(*map(_den, g_by_q.values()))
     dw = _den(w)
-    gw = _gw_table(g_by_q, den_g, _on_scale(w, dw))
-    return _off_scale(_dilated_rhs_ints(g_by_q, q_min, gw, a0, a1, a2),
-                      den_g * dw)
-
-
-def _dilated_rhs(s: FockVector, t: FockVector, w: FockVector, r_order: int,
-                 den: int):
-    """rhs(a0, a1, a2): the iterate term of the (s, t) dilated identity,
-    for the int-valued w, on the scale den = den(s) den(t) of the
-    change-of-variables states."""
-    g_by_q = _compose_zhu_with_log(s, t, r_order)
-    return functools.partial(_dilated_rhs_ints, g_by_q, min(g_by_q, default=0),
-                             _gw_table(g_by_q, den, w))
+    terms, table = _dilated_rhs(g_by_q, q_min, den_g, _on_scale(w, dw))
+    acc = {}
+    for q, c in terms(a0, a1):
+        _iaxpy(acc, table(q, a0 + a1 + a2).terms, c)
+    return _off_scale(acc, den_g * dw)
 
 
 def _dilated_reports(u, v, w, windows: dict, ydeg: int, orders: int) -> list:
@@ -705,9 +667,14 @@ def _dilated_reports(u, v, w, windows: dict, ydeg: int, orders: int) -> list:
     r_order = max(ydeg, windows["x0"][1] + wu + wv + 1)
     du, dv, dw = _den(u), _den(v), _den(w)
     wi = _on_scale(w, dw)
-    sides = [(_delta_report("dilated-jacobi-identity", windows, ydeg=ydeg),
-              _dilated_rhs(s, t, wi, r_order, du * dv))
-             for s, t in ((u, v), (v, u))[:orders]]
+    sides = []
+    for s, t in ((u, v), (v, u))[:orders]:
+        # the change-of-variables states are on the scale den(s) den(t)
+        g_by_q = _compose_zhu_with_log(s, t, r_order)
+        sides.append((_delta_report("dilated-jacobi-identity", windows,
+                                    ydeg=ydeg),
+                      *_dilated_rhs(g_by_q, min(g_by_q, default=0), du * dv,
+                                    wi)))
     return _check_orders(_x_tables(u, v, w, ww), windows, wu + wv + ww,
                          du * dv * dw, sides)
 

@@ -81,6 +81,26 @@ def test_mode_actions_keep_int_values_on_the_scale_one():
     half = mode_apply(OMEGA, -1, w)
     assert half.terms == {(1, 1, 1): F(5, 2), (3,): F(5)}
     assert all(type(c) is F for c in half.terms.values())
+    # int, whole Fraction and proper Fraction coefficients, mixed within
+    # a vector and across the two: each vector that holds only ints is on
+    # the scale 1 as it is, every other one is put on its own scale
+    mixed = [u, w, OMEGA,
+             FockVector({monomial([2]): 3, monomial([1, 1]): F(2)}),
+             FockVector({monomial([1]): F(2), (): -1}),
+             FockVector({monomial([1]): F(1, 3), (): 2}),
+             FockVector({monomial([1, 1]): F(1, 3), monomial([2]): F(2),
+                         (): 4})]
+    for s in mixed:
+        for t in mixed:
+            ints = all(type(c) is int
+                       for c in (*s.terms.values(), *t.terms.values()))
+            for n in range(-3, 3):
+                got = mode_apply(s, n, t)
+                assert got == _ref_mode_apply(s, n, t), (s, n, t)
+                assert all(got.terms.values())
+                assert X_apply(s, t, n) == _ref_X_apply(s, t, n)
+                if ints:
+                    assert all(type(c) is int for c in got.terms.values())
 
 
 def _ref_exp(a, order):

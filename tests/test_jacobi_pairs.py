@@ -173,3 +173,37 @@ def test_cli_lists_every_ordered_pair_under_its_own_label(command, check,
                 want.extend((f"{label} | {c.key}", c.lhs, c.rhs)
                             for c in rep.cells)
     assert [(c["key"], c["lhs"], c["rhs"]) for c in cells] == want
+
+
+@pytest.mark.parametrize("names,checks,pair_checks", [
+    (["h", "h"], 1, 0),
+    (["omega", "h", "1", "h"], 3, 3),
+])
+@pytest.mark.parametrize("command,prefix", [
+    ("verify-jacobi", ""), ("verify-thm42 --ydeg 2", "dilated_")])
+def test_cli_checks_each_distinct_pair_of_names_once(
+        command, prefix, names, checks, pair_checks, monkeypatch, capsys):
+    # a repeated name is checked once per w and listed under every
+    # ordered pair of positions it takes, the same cells under each label
+    calls = []
+    for name in (f"{prefix}jacobi_check", f"{prefix}jacobi_pair_checks"):
+        monkeypatch.setattr(cli, name, lambda *a, _real=getattr(cli, name),
+                            _name=name: calls.append(_name) or _real(*a))
+    assert cli.main(["--format", "json", *command.split(), "--states",
+                     *names, "--weight", "1", "--window", "1"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    n_w = len(basis(1))
+    assert sorted(calls) == sorted(
+        [f"{prefix}jacobi_check"] * (checks * n_w)
+        + [f"{prefix}jacobi_pair_checks"] * (pair_checks * n_w))
+    by_label = {}
+    for c in cells:
+        label, key = c["key"].split(" | ")
+        by_label.setdefault(label, []).append((key, c["lhs"], c["rhs"]))
+    labels = [f"u={u} v={v} w={list(mon)}" for u in names for v in names
+              for mon in basis(1)]
+    assert by_label
+    for label, got in by_label.items():
+        times = labels.count(label)
+        size = len(got) // times
+        assert got == got[:size] * times, label

@@ -383,27 +383,44 @@ def test_compose_is_shared_by_every_w_of_a_pair(capsys):
         next(iter(g.values())).terms[(9,)] = F(1)
 
 
-def test_check_box_renders_both_sides_of_an_unequal_cell(monkeypatch):
-    # a passing cell renders its vector once; a failing one renders both.
-    # The sides are int term maps on the scale 2, zero entries dropped.
+def test_check_orders_renders_both_sides_of_an_unequal_cell(monkeypatch):
+    # a passing cell renders its vector once; a failing one renders both;
+    # a cell zero on both sides, or below the weight bound, is bulk.  The
+    # sides are int term maps on the scale 2, zero entries dropped.
+    from types import SimpleNamespace
+
     from fockcalc.report import FAIL, PASS, VerificationReport
 
     rendered = []
     real = voa._int_str
     monkeypatch.setattr(voa, "_int_str", lambda terms, den, memo: (
         rendered.append(dict(terms)) or real(terms, den, memo)))
-    rep = VerificationReport(identity="box", parameters={})
-    box = {"x0": (0, 0), "x1": (0, 0), "x2": (0, 2)}
     h, two = {(1,): 2}, {(2,): 2}
-    voa._check_box(rep, box, 3, 2, lambda a0, a1, a2: (
-        [dict(h), dict(h), {(1,): 0}][a2],
-        [{**h, (3,): 0}, {**two, (3,): 0}, {}][a2]))
+    # the (u, v) cell (0, 0, a2) sums the half sums (False, 0, a2) and
+    # (True, a2, 0); at a2 = 2 they cancel
+    halves = {(False, 0, 0): h, (False, 0, 1): h, (False, 0, 2): {(1,): 1},
+              (True, 2, 0): {(1,): -1}}
+    rhs = [{**h, (3,): 0}, {**two, (3,): 0}, {}]
+    asked = []
+    monkeypatch.setattr(voa, "_slice_half_sums", lambda tab, a0: (
+        lambda swap, b1, b2: asked.append(b1 + b2) or halves.get(
+            (swap, b1, b2), {})))
+    rep = VerificationReport(identity="box", parameters={})
+    # top = -1: the cell a2 = -1 vanishes by weight and is never summed
+    box = {"x0": (0, 0), "x1": (0, 0), "x2": (-1, 2)}
+    sides = [(rep, lambda a0, a1: [(7, 1)],
+              lambda i, e: asked.append(e) or FockVector(rhs[e]))]
+    assert voa._check_orders(SimpleNamespace(same=False), box, -1, 2,
+                             sides) == [rep]
     assert [(c.key, c.lhs, c.rhs, c.status) for c in rep.cells] == [
         ("x0^0 x1^0 x2^0", "1*[1]", "1*[1]", PASS),
         ("x0^0 x1^0 x2^1", "1*[1]", "1*[2]", FAIL),
     ]
     assert rendered == [h, h, two]
-    assert rep.bulk_passed == 1
+    assert -1 not in asked
+    # the merge copies: a half sum stays as it was summed
+    assert halves[False, 0, 2] == {(1,): 1}
+    assert rep.bulk_passed == 2
     assert not rep.passed
 
 
