@@ -49,6 +49,9 @@ class VOAConstants:
 # Modes
 # ---------------------------------------------------------------------------
 
+_ZERO_MODE = FockVector(MappingProxyType({}))
+
+
 @functools.lru_cache(maxsize=None)
 def _mode_mon(state: tuple, n: int, target: tuple) -> FockVector:
     """The n-th mode of the monomial state applied to a target monomial,
@@ -59,26 +62,29 @@ def _mode_mon(state: tuple, n: int, target: tuple) -> FockVector:
     weight bookkeeping (u_j w = 0 once j exceeds wt u + wt w - 1).  Each
     step inserts or removes one part, and its weight, a binomial
     C(-m-1, k-1) times the h-action m * multiplicity, is an integer.  The
-    term map is read-only, since every caller shares the cached vector.
-    A one-part state (k,) is the term C(-m-1, k-1) h(m), m = n - k + 1.
+    term map is read-only, since every caller shares the cached vector;
+    every zero result is ``_ZERO_MODE``.  A one-part state (k,) is the
+    term C(-m-1, k-1) h(m), m = n - k + 1; a two-part state is
+    ``_two_part_mode``, so the recursion bottoms out at two parts.
     """
     if not state:
-        return FockVector(MappingProxyType({target: 1} if n == -1 else {}))
-    k = state[0]
-    rest = state[1:]
+        return (FockVector(MappingProxyType({target: 1})) if n == -1
+                else _ZERO_MODE)
+    k, rest = state[0], state[1:]
     if not rest:
         m = n - k + 1
         c = comb_int(-m - 1, k - 1) * (1 if m < 0 else m * target.count(m))
         if not c:
-            return FockVector(MappingProxyType({}))
+            return _ZERO_MODE
         out = _insert_part(target, -m) if m < 0 else _remove_part(target, m)
         return FockVector(MappingProxyType({out: c}))
-    wt_rest = sum(rest)
-    wt_target = sum(target)
+    if len(rest) == 1:
+        terms = _nonzero(_two_part_mode(k, rest[0], n, target))
+        return FockVector(MappingProxyType(terms)) if terms else _ZERO_MODE
     terms = {}
     get = terms.get
     # creation part: sum_{m<=-1} C(-m-1, k-1) h(m) (rest_{n-m-k} target)
-    m_lo = n - k - (wt_rest + wt_target - 1)
+    m_lo = n - k - (sum(rest) + sum(target) - 1)
     for m in range(m_lo, 0):
         inner = _mode_mon(rest, n - m - k, target).terms
         if inner:
@@ -93,7 +99,43 @@ def _mode_mon(state: tuple, n: int, target: tuple) -> FockVector:
         coef = comb_int(-m - 1, k - 1) * m * target.count(m)
         _iaxpy(terms, _mode_mon(rest, n - m - k,
                                 _remove_part(target, m)).terms, coef)
-    return FockVector(MappingProxyType(_nonzero(terms)))
+    terms = _nonzero(terms)
+    return FockVector(MappingProxyType(terms)) if terms else _ZERO_MODE
+
+
+def _two_part_mode(k1: int, k2: int, n: int, target: tuple) -> dict:
+    """The int terms of mode n of h(-k1)h(-k2)1, the normal-ordered product
+    of the divided derivatives of orders k1 - 1 and k2 - 1 of h(x), on a
+    target monomial: the sum of C(-i-1, k1-1) C(-j-1, k2-1) :h(i)h(j):
+    over i + j = n + 1 - k1 - k2, i, j != 0, annihilation modes first."""
+    total = n + 1 - k1 - k2
+    terms = {}
+    get = terms.get
+    # two creation modes: insert the parts -i and -j
+    for i in range(total + 1, 0):
+        c = comb_int(-i - 1, k1 - 1) * comb_int(i - total - 1, k2 - 1)
+        if c:
+            mon = _insert_part(_insert_part(target, -i), i - total)
+            terms[mon] = get(mon, 0) + c
+    for p in set(target):
+        cp = p * target.count(p)
+        reduced = _remove_part(target, p)
+        q = total - p
+        if q < 0:
+            # annihilation mode p and creation mode q, in either slot
+            c = cp * (comb_int(-q - 1, k1 - 1) * comb_int(-p - 1, k2 - 1)
+                      + comb_int(-p - 1, k1 - 1) * comb_int(-q - 1, k2 - 1))
+            mon = _insert_part(reduced, -q)
+        elif q and (cq := reduced.count(q)):
+            # two annihilation modes: remove p, then q
+            c = (cp * q * cq * comb_int(-p - 1, k1 - 1)
+                 * comb_int(-q - 1, k2 - 1))
+            mon = _remove_part(reduced, q)
+        else:
+            continue
+        if c:
+            terms[mon] = get(mon, 0) + c
+    return terms
 
 
 _INT = frozenset((int,))
@@ -282,15 +324,22 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
         cell(2, f"grading w={list(m)}", lw_basis(0, m), {m: 2 * sum(m)},
              listed=True)
 
+    # the left side at (n, m) is minus the one at (m, n), held until then
+    mirror = {}
     for mm in window:
         # the central term 4 rank (m^3 - m) / 12; a rank off the scale raises
         central = _exact_div(4 * (mm ** 3 - mm) * VOAConstants.rank.numerator,
                              12 * VOAConstants.rank.denominator)
         for nn in window:
             for m in mons:
-                lhs = {}
-                _iaxpy(lhs, lw(mm, FockVector(lw_basis(nn, m))), 1)
-                _iaxpy(lhs, lw(nn, FockVector(lw_basis(mm, m))), -1)
+                if nn < mm:
+                    lhs = {o: -x for o, x in mirror.pop((nn, mm, m)).items()}
+                else:
+                    lhs = {}
+                    _iaxpy(lhs, lw(mm, FockVector(lw_basis(nn, m))), 1)
+                    _iaxpy(lhs, lw(nn, FockVector(lw_basis(mm, m))), -1)
+                    if nn > mm:
+                        mirror[(mm, nn, m)] = lhs
                 rhs = {}
                 _iaxpy(rhs, lw_basis(mm + nn, m), 2 * (mm - nn))
                 if mm + nn == 0:

@@ -1,6 +1,6 @@
 """The bracket, contraction and differential-operator verifiers on integer
-scales, and the closed form of one-part mode tables, against the Fraction
-code they replaced.
+scales, and the closed forms of one- and two-part mode tables, against the
+Fraction code they replaced.
 
 The references below are the Fraction bodies of ``_verify_bracket``,
 ``contraction_check``, ``verify_diff_op_projection`` and ``diff_op_apply``
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from fockcalc import cli, quadratic
+from fockcalc import cli, quadratic, voa
 from fockcalc.exact import ZERO, rat_str
 from fockcalc.fock import (FockVector, LaurentPolyVector, _iaxpy,
                            _off_scale, basis, d_apply, diff_op_apply,
@@ -29,7 +29,7 @@ from fockcalc.quadratic import (_bracket_mon, _lpq_mon, _verify_bracket,
                                 verify_diff_op_projection)
 from fockcalc.report import FAIL, VerificationReport
 from fockcalc.series import contraction_check
-from fockcalc.voa import _mode_mon
+from fockcalc.voa import _mode_mon, axiom_suite
 from test_voa import _mode_mon_by_h_apply
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -215,7 +215,7 @@ def test_diff_op_apply_keeps_int_and_fraction_input():
 
 
 # ---------------------------------------------------------------------------
-# One-part mode tables
+# One- and two-part mode tables
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -227,6 +227,39 @@ def test_one_part_mode_tables_match_h_apply_recursion(k):
             assert all(type(c) is int and c for c in got.terms.values())
             with pytest.raises(TypeError):
                 got.terms[(9,)] = 1
+
+
+@pytest.mark.parametrize("k1, k2", [(k1, k2) for k1 in range(1, 7)
+                                    for k2 in range(1, k1 + 1)])
+def test_two_part_mode_tables_match_h_apply_recursion(k1, k2):
+    for n in range(-14, 15):
+        for t in basis(6):
+            got = _mode_mon((k1, k2), n, t)
+            assert got == _mode_mon_by_h_apply((k1, k2), n, t), (n, t)
+            assert all(type(c) is int and c for c in got.terms.values())
+            with pytest.raises(TypeError):
+                got.terms[(9,)] = 1
+
+
+def test_every_cached_zero_table_is_the_shared_zero(monkeypatch):
+    # the recursion calls the module name too, so the spy sees every
+    # table the cache stores
+    cached = voa._mode_mon
+    seen = {}
+
+    def spy(*key):
+        seen[key] = table = cached(*key)
+        return table
+
+    cached.cache_clear()
+    monkeypatch.setattr(voa, "_mode_mon", spy)
+    axiom_suite(2, 3)
+    assert len(seen) == cached.cache_info().currsize
+    zeros = [table for table in seen.values() if not table.terms]
+    assert zeros
+    assert all(table is voa._ZERO_MODE for table in zeros)
+    with pytest.raises(TypeError):
+        voa._ZERO_MODE.terms[()] = 1
 
 
 # ---------------------------------------------------------------------------
