@@ -362,24 +362,15 @@ def _mul_interval(a_iv, a_supp, b_iv, b_supp):
 
 @functools.lru_cache(maxsize=None)
 def _exp_cells(coeffs: tuple, tcap: int) -> tuple:
-    """Term list of exp(sum c_i u_i) through total degree tcap."""
-    out = []
-
-    def rec(i, budget, prefix, value):
-        if i == len(coeffs):
-            out.append((tuple(prefix), value))
-            return
-        c = coeffs[i]
-        if c == 0:
-            rec(i + 1, budget, prefix + [0], value)
-            return
-        power = Fraction(1)
-        for k in range(budget + 1):
-            rec(i + 1, budget - k, prefix + [k], value * power)
-            power = power * c / (k + 1)
-
-    rec(0, tcap, [], Fraction(1))
-    return tuple(out)
+    """Term list of exp(sum c_i u_i) through total degree tcap, cells in
+    lexicographic order; each value prod_i c_i^e_i / e_i! is one int
+    numerator over one int denominator."""
+    cells = [((), 1, 1, tcap)]
+    for c in coeffs:
+        cells = [(cell + (e,), num * c ** e, den * factorial(e), budget - e)
+                 for cell, num, den, budget in cells
+                 for e in range(budget + 1 if c else 1)]
+    return tuple((cell, Fraction(num, den)) for cell, num, den, _ in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +394,6 @@ class LocalizedSeries:
         self.order = order
         self.body = body
 
-    def scale(self, a):
-        return LocalizedSeries(self.pole, self.order, self.body.scale(a))
-
-    def mul_series(self, s: MultiSeries):
-        return LocalizedSeries(self.pole, self.order, self.body.mul(s))
-
     def _pole_times(self, s: MultiSeries) -> MultiSeries:
         """Multiply an ordinary series by the linear form lambda."""
         out = MultiSeries(s.varspecs, {}, s.x_ival,
@@ -427,23 +412,6 @@ class LocalizedSeries:
         if c:
             part = part.add(self.body.scale(-self.order * c))
         return LocalizedSeries(self.pole, self.order + 1, part)
-
-    def add(self, other: "LocalizedSeries") -> "LocalizedSeries":
-        """Sum over the pole of self.  other's pole must be the same form
-        or its negation; body/(-lambda)^k is (-1)^k body/lambda^k."""
-        body_b = other.body
-        if other.pole != self.pole:
-            if other.pole != {n: -c for n, c in self.pole.items()}:
-                raise UsageError(
-                    "cannot add localized series with different poles")
-            body_b = body_b.scale((-1) ** other.order)
-        k = max(self.order, other.order)
-        body_a = self.body
-        for _ in range(k - self.order):
-            body_a = self._pole_times(body_a)
-        for _ in range(k - other.order):
-            body_b = self._pole_times(body_b)
-        return LocalizedSeries(self.pole, k, body_a.add(body_b))
 
     def expand(self, conv: ExpansionConvention, dvar_floor: int) -> MultiSeries:
         """Binomial expansion with negative powers confined to the
@@ -585,22 +553,6 @@ def one_minus_exp_inverse(y1: str, y2: str, order: int,
     body = _poly_in_form(varspecs, {y1: 1, y2: -1},
                          _geometric_pole_coeffs(order), order)
     return LocalizedSeries({y1: 1, y2: -1}, 1, body)
-
-
-def _derivative_pole(a_form: dict, b_form: dict, varspecs,
-                     order: int) -> LocalizedSeries:
-    """W'(a-b) for W(u) = 1/(1-e^{-u}): pole order 2 with body H(a-b),
-    H(u) = u G'(u) - G(u)."""
-    g = _geometric_pole_coeffs(order)
-    h = [(k - 1) * g[k] for k in range(order + 1)]
-    lam: dict = {}
-    for name, c in a_form.items():
-        lam[name] = lam.get(name, 0) + c
-    for name, c in b_form.items():
-        lam[name] = lam.get(name, 0) - c
-    lam = {n: c for n, c in lam.items() if c}
-    body = _poly_in_form(varspecs, lam, h, order)
-    return LocalizedSeries(lam, 2, body)
 
 
 # ---------------------------------------------------------------------------
@@ -814,54 +766,97 @@ def _plusplus_pieces(window: int, ydeg: int) -> tuple:
     window, the pole sums ((n, (LocalizedSeries, ...)), ...).
 
     Each of the four terms is +(1/4) d_outer [ W'(lam) e^{n(f-g)} ], lam =
-    a - b, and W'(lam) = H(lam) / lam^2 (``_derivative_pole``), so the
-    term is (lam d_outer P - 2 c P) / (4 lam^3) with P = H(lam) e^{n(f-g)}
-    through total degree K = ydeg + 3 and c the outer coefficient of lam.
-    P is summed in ints over den(H) K!.  The four poles come in two
-    opposite pairs, so the terms of each n are summed over a pole taken
-    up to sign; only these sums are expanded, once per convention.  The
-    bodies' terms are read-only, since every convention shares them.
+    a - b, W(u) = 1/(1 - e^{-u}) and W'(lam) = H(lam) / lam^2 with H(u) =
+    u G'(u) - G(u), G(u) = u/(1 - e^{-u}).  So the term is (lam d_outer P
+    - 2 c P) / (4 lam^3) with P = H(lam) e^{n(f-g)} through total degree
+    K = ydeg + 3 and c the outer coefficient of lam.  The four poles come
+    in two opposite pairs, so the terms of each n are summed over a pole
+    taken up to sign; only these sums are expanded, once per convention.
+    The bodies' terms are read-only, since every convention shares them.
+
+    The sums run in ints over den(H) K!: H's coefficients over the lcm of
+    their denominators, the exponential's times K!.  A y-cell is one int
+    key with digit j (base K + 1, place (K + 1)^j) the exponent of y_j+1.
+    Every cell summed has total degree <= K, so no digit carries: a
+    product cell is a key sum, and lam d_outer moves one unit from the
+    outer digit to digit j.  Each pole sum is unpacked once.
     """
     varspecs = _genfun_space(window, ydeg)
     top = ydeg + 3
-    bases = [(_YS.index(outer), _ys({f: 1, g: -1}),
-              _derivative_pole(a_form, {b_var: 1}, varspecs, top))
-             for outer, a_form, b_var, (f, g) in _RHS_TERMS]
-    den_h = lcm(*(x.denominator for *_, base in bases
-                  for x in base.body.terms.values()))
+    base = top + 1
+    place = [base ** j for j in range(len(_YS))]
+    h = [(k - 1) * g for k, g in enumerate(_geometric_pole_coeffs(top))]
+    den_h = lcm(*(x.denominator for x in h))
     fact = factorial(top)
+    scale = 4 * den_h * fact
+    parts = []
+    for outer, a_form, b_var, (f, g) in _RHS_TERMS:
+        pole = dict(a_form)
+        pole[b_var] = pole.get(b_var, 0) - 1
+        lam = _ys(pole)
+        # H(lam) as (budget K - k, cells of h_k lam^k) for each h_k != 0
+        body, power = [], {0: 1}
+        for k, x in enumerate(h):
+            if k:
+                nxt = {}
+                for key, v in power.items():
+                    for p, c in zip(place, lam):
+                        if c:
+                            nxt[key + p] = nxt.get(key + p, 0) + v * c
+                power = nxt
+            if x:
+                x = x.numerator * (den_h // x.denominator)
+                body.append((top - k, [(key, x * v)
+                                       for key, v in power.items()]))
+        parts.append((_YS.index(outer), _ys({f: 1, g: -1}), pole, lam, body))
     out = []
     for n in range(-window, window + 1):
         by_pole = {}
-        for o, fg, base in bases:
-            lam = _ys(base.pole)    # the pole a - b
-            efactor = [(cell, sum(cell), _exact_div(x.numerator * fact,
-                                                    x.denominator))
-                       for cell, x in _exp_cells(tuple(n * c for c in fg), top)]
+        for o, fg, pole, lam, body in parts:
+            # the exponential's cells up to each degree b, as prefix[b]
+            by_deg = [[] for _ in range(top + 1)]
+            for cell, x in _exp_cells(tuple(n * c for c in fg), top):
+                by_deg[sum(cell)].append((
+                    sum(e * p for e, p in zip(cell, place)),
+                    _exact_div(x.numerator * fact, x.denominator)))
+            prefix = list(itertools.accumulate(by_deg))
             product = {}
-            for cell, x in base.body.terms.items():
-                cell, x = cell[:4], x.numerator * (den_h // x.denominator)
-                for ecell, deg, y in efactor:
-                    if deg <= top - sum(cell):
-                        new = tuple(a + b for a, b in zip(cell, ecell))
-                        product[new] = product.get(new, 0) + x * y
+            get = product.get
+            for budget, cells in body:
+                efactor = prefix[budget]
+                for key, x in cells:
+                    for ekey, y in efactor:
+                        k = key + ekey
+                        product[k] = get(k, 0) + x * y
             # lam d_outer P - 2 c P, and -body / lam^3 for the pole -lam
             key = min(lam, tuple(-c for c in lam))
-            pole, piece = by_pole.setdefault(key, (base.pole, {}))
-            sign = 1 if lam == _ys(pole) else -1
-            for cell, x in product.items():
-                piece[cell] = piece.get(cell, 0) - 2 * lam[o] * x * sign
-                if cell[o]:
-                    down = cell[:o] + (cell[o] - 1,) + cell[o + 1:]
-                    for j, c in enumerate(lam):
-                        new = down[:j] + (down[j] + 1,) + down[j + 1:]
-                        piece[new] = piece.get(new, 0) + c * cell[o] * x * sign
-        out.append((n, tuple(
-            LocalizedSeries(pole, 3, MultiSeries(varspecs, MappingProxyType(
-                {cell + (0, 0): Fraction(x, 4 * den_h * fact)
-                 for cell, x in piece.items() if x}),
-                {"x1": (None, None), "x2": (None, None)}, top))
-            for pole, piece in by_pole.values())))
+            first, piece = by_pole.setdefault(key, (pole, {}))
+            sign = 1 if lam == _ys(first) else -1
+            po = place[o]
+            moves = [(p - po, c * sign) for p, c in zip(place, lam) if c]
+            own = -2 * lam[o] * sign
+            get = piece.get
+            for key, x in product.items():
+                piece[key] = get(key, 0) + own * x
+                if e := key // po % base:
+                    x *= e
+                    for shift, c in moves:
+                        k = key + shift
+                        piece[k] = get(k, 0) + c * x
+        pieces = []
+        for pole, piece in by_pole.values():
+            terms = {}
+            for key, x in piece.items():
+                if x:
+                    cell = []
+                    for _ in _YS:
+                        key, e = divmod(key, base)
+                        cell.append(e)
+                    terms[tuple(cell) + (0, 0)] = Fraction(x, scale)
+            pieces.append(LocalizedSeries(pole, 3, MultiSeries(
+                varspecs, MappingProxyType(terms),
+                {"x1": (None, None), "x2": (None, None)}, top)))
+        out.append((n, tuple(pieces)))
     return tuple(out)
 
 

@@ -411,7 +411,8 @@ def x_commutator_cells(u: FockVector, v: FockVector, w: FockVector,
 def weak_comm_check(u: FockVector, v: FockVector, w: FockVector,
                     window: int, n_max: int) -> VerificationReport:
     """Find the least n <= n_max with (x1-x2)^n [Y(u,x1),Y(v,x2)]w = 0 on
-    all certified cells of the +-window box."""
+    all certified cells of the +-window box; None, with an uncertified
+    cell, where the box misses every nonzero commutator cell."""
     rep = VerificationReport(
         identity="weak-commutativity",
         parameters={"window": window, "n_max": n_max},
@@ -431,11 +432,15 @@ def weak_comm_check(u: FockVector, v: FockVector, w: FockVector,
         return True
 
     found = next((n for n in range(n_max + 1) if annihilates(n)), None)
-    rep.data["order_found"] = found
-    if found is None:
+    if found == 0 and comm:
+        # zero on the box, nonzero beyond it: the box establishes no order
+        rep.add_uncertified("annihilation-order")
+        found = None
+    elif found is None:
         rep.add_cell("annihilation-order", "not found", f"<= {n_max}", FAIL)
     else:
         rep.add_cell("annihilation-order", str(found), str(found), PASS)
+    rep.data["order_found"] = found
     return rep
 
 

@@ -14,17 +14,27 @@ blocks of oracles:
 * ``constant_series``, ``monomial_series``, ``exp_linear_form`` and
   ``delta_series``: elementary ``MultiSeries``;
 * ``apply_taylor`` and ``apply_dilation``: the formal translation and
-  dilation exponentials f(x) -> f(x + y) and f(x) -> f(e^y x).
+  dilation exponentials f(x) -> f(x + y) and f(x) -> f(e^y x);
+* ``localized_scale``, ``localized_mul_series`` and ``localized_add``:
+  the ``LocalizedSeries`` operations no command needs;
+* ``exp_cells_by_recursion``, ``derivative_pole`` and
+  ``plusplus_pieces``: the Fraction route to the ++ pole sums of the
+  generating-function identity, the oracle of the packed-int
+  ``fockcalc.series._plusplus_pieces``.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from types import MappingProxyType
 
 from fockcalc import exact
 from fockcalc.exact import (ONE, ZERO, SeriesError, UsageError, _add_into,
                             bernoulli, rat_str)
 from fockcalc.report import VerificationReport
-from fockcalc.series import MultiSeries, _exp_cells, _min_none, comb_int
+from fockcalc.series import (_RHS_TERMS, _YS, LocalizedSeries, MultiSeries,
+                             _exact_div, _exp_cells, _genfun_space,
+                             _geometric_pole_coeffs, _min_none, _poly_in_form,
+                             _ys, comb_int)
 
 
 class PowerSeries(exact.PowerSeries):
@@ -308,3 +318,123 @@ def apply_dilation(yname: str, f: MultiSeries, xname: str,
             new[yi] = cell[yi] + k
             _add_into(out.terms, tuple(new), c * power)
     return out._prune()
+
+
+# ---------------------------------------------------------------------------
+# Localized pole series
+# ---------------------------------------------------------------------------
+
+def localized_scale(loc: LocalizedSeries, a) -> LocalizedSeries:
+    return LocalizedSeries(loc.pole, loc.order, loc.body.scale(a))
+
+
+def localized_mul_series(loc: LocalizedSeries, s: MultiSeries):
+    return LocalizedSeries(loc.pole, loc.order, loc.body.mul(s))
+
+
+def localized_add(a: LocalizedSeries, b: LocalizedSeries) -> LocalizedSeries:
+    """Sum over the pole of a.  b's pole must be the same form or its
+    negation; body/(-lambda)^k is (-1)^k body/lambda^k."""
+    body_b = b.body
+    if b.pole != a.pole:
+        if b.pole != {n: -c for n, c in a.pole.items()}:
+            raise UsageError(
+                "cannot add localized series with different poles")
+        body_b = body_b.scale((-1) ** b.order)
+    k = max(a.order, b.order)
+    body_a = a.body
+    for _ in range(k - a.order):
+        body_a = a._pole_times(body_a)
+    for _ in range(k - b.order):
+        body_b = a._pole_times(body_b)
+    return LocalizedSeries(a.pole, k, body_a.add(body_b))
+
+
+# ---------------------------------------------------------------------------
+# The ++ pole sums of the generating-function identity, in Fractions
+# ---------------------------------------------------------------------------
+
+def exp_cells_by_recursion(coeffs: tuple, tcap: int) -> tuple:
+    """Term list of exp(sum c_i u_i) through total degree tcap, one
+    Fraction product per exponent."""
+    out = []
+
+    def rec(i, budget, prefix, value):
+        if i == len(coeffs):
+            out.append((tuple(prefix), value))
+            return
+        c = coeffs[i]
+        if c == 0:
+            rec(i + 1, budget, prefix + [0], value)
+            return
+        power = Fraction(1)
+        for k in range(budget + 1):
+            rec(i + 1, budget - k, prefix + [k], value * power)
+            power = power * c / (k + 1)
+
+    rec(0, tcap, [], Fraction(1))
+    return tuple(out)
+
+
+def derivative_pole(a_form: dict, b_form: dict, varspecs,
+                    order: int) -> LocalizedSeries:
+    """W'(a-b) for W(u) = 1/(1-e^{-u}): pole order 2 with body H(a-b),
+    H(u) = u G'(u) - G(u)."""
+    g = _geometric_pole_coeffs(order)
+    h = [(k - 1) * g[k] for k in range(order + 1)]
+    lam: dict = {}
+    for name, c in a_form.items():
+        lam[name] = lam.get(name, 0) + c
+    for name, c in b_form.items():
+        lam[name] = lam.get(name, 0) - c
+    lam = {n: c for n, c in lam.items() if c}
+    body = _poly_in_form(varspecs, lam, h, order)
+    return LocalizedSeries(lam, 2, body)
+
+
+def plusplus_pieces(window: int, ydeg: int) -> tuple:
+    """``fockcalc.series._plusplus_pieces`` on exponent tuples: each
+    product cell of H(lam) e^{n(f-g)} and each step of lam d_outer P -
+    2 c P built as a tuple, H and the exponential as Fraction series."""
+    varspecs = _genfun_space(window, ydeg)
+    top = ydeg + 3
+    bases = [(_YS.index(outer), _ys({f: 1, g: -1}),
+              derivative_pole(a_form, {b_var: 1}, varspecs, top))
+             for outer, a_form, b_var, (f, g) in _RHS_TERMS]
+    den_h = lcm(*(x.denominator for *_, base in bases
+                  for x in base.body.terms.values()))
+    fact = factorial(top)
+    out = []
+    for n in range(-window, window + 1):
+        by_pole = {}
+        for o, fg, base in bases:
+            lam = _ys(base.pole)    # the pole a - b
+            efactor = [(cell, sum(cell), _exact_div(x.numerator * fact,
+                                                    x.denominator))
+                       for cell, x in exp_cells_by_recursion(
+                           tuple(n * c for c in fg), top)]
+            product = {}
+            for cell, x in base.body.terms.items():
+                cell, x = cell[:4], x.numerator * (den_h // x.denominator)
+                for ecell, deg, y in efactor:
+                    if deg <= top - sum(cell):
+                        new = tuple(a + b for a, b in zip(cell, ecell))
+                        product[new] = product.get(new, 0) + x * y
+            # lam d_outer P - 2 c P, and -body / lam^3 for the pole -lam
+            key = min(lam, tuple(-c for c in lam))
+            pole, piece = by_pole.setdefault(key, (base.pole, {}))
+            sign = 1 if lam == _ys(pole) else -1
+            for cell, x in product.items():
+                piece[cell] = piece.get(cell, 0) - 2 * lam[o] * x * sign
+                if cell[o]:
+                    down = cell[:o] + (cell[o] - 1,) + cell[o + 1:]
+                    for j, c in enumerate(lam):
+                        new = down[:j] + (down[j] + 1,) + down[j + 1:]
+                        piece[new] = piece.get(new, 0) + c * cell[o] * x * sign
+        out.append((n, tuple(
+            LocalizedSeries(pole, 3, MultiSeries(varspecs, MappingProxyType(
+                {cell + (0, 0): Fraction(x, 4 * den_h * fact)
+                 for cell, x in piece.items() if x}),
+                {"x1": (None, None), "x2": (None, None)}, top))
+            for pole, piece in by_pole.values())))
+    return tuple(out)

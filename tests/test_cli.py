@@ -1,5 +1,6 @@
 """Tests for the command-line driver: exit codes, determinism, schema."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -253,3 +254,63 @@ def test_handlers_leave_parsed_defaults_alone(capsys):
         assert cli.main(argv) in (0, 1)
     capsys.readouterr()
     assert defaults() == before
+
+
+def _json_run(capsys, *args):
+    code = cli.main(["--format", "json", *args])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, key", [
+    (("verify-bloch-purity", "--r", "0", "--s", "0", "--weight", "0"),
+     "fit-unique(m=1)"),
+    (("verify-diffop", "--r", "0", "--s", "0", "--m", "1", "--n", "-1",
+      "--weight", "0"), "fit-unique"),
+])
+def test_undetermined_fit_is_uncertified_not_failed(capsys, args, key):
+    # weight 0 cannot pin the fit: nothing is violated, nothing certified
+    code, out = _json_run(capsys, *args)
+    data = json.loads(out)
+    assert code == 1
+    assert data["summary"]["failed"] == 0
+    assert data["summary"]["uncertified"] == 1
+    cell = data["cells"][-1]
+    assert (cell["key"], cell["status"], cell["pass"]) == (
+        key, "uncertified", False)
+    assert data["data"] == {}
+
+
+@pytest.mark.parametrize("window", [0, 1])
+def test_weak_comm_box_without_a_nonzero_cell_is_uncertified(capsys, window):
+    # [Y(h, x1), Y(h, x2)]1 has no nonzero cell on these boxes, so no
+    # order is established there (the true order is 2)
+    code, out = _json_run(capsys, "verify-weak-comm", "--u", "h", "--v", "h",
+                          "--window", str(window))
+    data = json.loads(out)
+    assert code == 1
+    assert data["data"] == {"order_found": None}
+    assert [(c["key"], c["status"]) for c in data["cells"]] == [
+        ("annihilation-order", "uncertified")]
+    assert data["summary"]["uncertified"] == 1
+
+
+def test_weak_comm_order_zero_stands_where_the_commutator_vanishes(capsys):
+    # Y(1, x) is the identity: no computed commutator cell is nonzero,
+    # so order 0 holds on the smallest box too
+    code, out = _json_run(capsys, "verify-weak-comm", "--u", "1", "--v",
+                          "omega", "--window", "0")
+    assert code == 0
+    assert json.loads(out)["data"] == {"order_found": 0}
+
+
+@pytest.mark.parametrize("args, sha", [
+    (("--window", "2"),
+     "fe33a5d5cb1b5cbecfcac043fa2cd830bce2535d6794069dd051657985e9410c"),
+    ((), "75591992008788021de8fb16e1659d792ebfe209cf4503b2ce24fc6f04d62310"),
+])
+def test_weak_comm_box_with_a_nonzero_cell_keeps_its_bytes(capsys, args, sha):
+    code, out = _json_run(capsys, "verify-weak-comm", "--u", "h", "--v", "h",
+                          *args)
+    assert code == 0
+    assert json.loads(out)["data"] == {"order_found": 2}
+    assert hashlib.sha256(out.encode()).hexdigest() == sha

@@ -107,7 +107,7 @@ def _ref_diff_op_projection(r, s, m, n, max_weight, p_bound):
         rep.add_cell("fit-residual", "NONZERO", "0", FAIL)
         return rep
     if not dec.unique:
-        rep.add_cell("fit-unique", "false", "true", FAIL)
+        rep.add_uncertified("fit-unique")
         return rep
     rep.data["cocycle_value"] = rat_str(dec.scalar_part)
     rep.data["operator_part"] = [rat_str(c) for c in dec.operator_part]

@@ -21,13 +21,15 @@ from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, MultiSeries,
                              regularized_commutator_check,
                              regularized_commutator_checks, trunc_var,
                              window_var)
-from fockcalc.series import (_RHS_TERMS, _cell_key, _derivative_pole,
-                             _exp_cells, _genfun_floor, _genfun_int_sides,
+from fockcalc.series import (_RHS_TERMS, _cell_key, _exp_cells,
+                             _genfun_floor, _genfun_int_sides,
                              _genfun_scalars, _genfun_space, _pair_weights,
                              _plusplus_correction, _plusplus_pieces,
                              slot_pair_apply)
 from series_reference import (apply_dilation, apply_taylor, constant_series,
-                              delta_series, exp_linear_form, monomial_series)
+                              delta_series, derivative_pole, exp_linear_form,
+                              localized_mul_series, localized_scale,
+                              monomial_series)
 
 
 def mono(*parts):
@@ -528,11 +530,12 @@ def _four_piece_correction(conv, window, ydeg):
     body_order = ydeg + 3
     out = {}
     for outer, a_form, b_var, (f, g) in _RHS_TERMS:
-        base = _derivative_pole(a_form, {b_var: 1}, varspecs, body_order)
+        base = derivative_pole(a_form, {b_var: 1}, varspecs, body_order)
         for n in range(-window, window + 1):
             efactor = exp_linear_form(varspecs, {f: n, g: -n}, body_order)
-            piece = (base.mul_series(efactor).dy(outer).scale(F(1, 4))
-                     .expand(conv, _genfun_floor(ydeg)))
+            piece = (localized_scale(
+                localized_mul_series(base, efactor).dy(outer), F(1, 4))
+                .expand(conv, _genfun_floor(ydeg)))
             out[n] = piece if n not in out else out[n].add(piece)
     return out
 
