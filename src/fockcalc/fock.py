@@ -161,21 +161,6 @@ def fock_str(v: FockVector) -> str:
                       for mon, c in sorted(v.terms.items()))
 
 
-def _int_str(terms: dict, den: int, memo: dict) -> str:
-    """``fock_str`` of the vector terms / den, for an int term map with no
-    zero entry.  memo maps a numerator to its rendered coefficient; it
-    belongs to this den, so one memo serves every vector on one scale."""
-    if not terms:
-        return "0"
-    bits = []
-    for mon, n in sorted(terms.items()):
-        c = memo.get(n)
-        if c is None:
-            c = memo[n] = rat_str(Fraction(n, den))
-        bits.append(f"{c}*{_label(mon)}")
-    return " + ".join(bits)
-
-
 def vacuum() -> FockVector:
     return FockVector({VACUUM: Fraction(1)})
 

@@ -24,9 +24,8 @@ from types import MappingProxyType
 
 from .exact import ZERO, UsageError, _add_into, rat_str, zeta_nonpositive
 from .fock import (FockVector, LaurentPolyVector, _den, _iaxpy,
-                   _insert_part, _int_str, _nonzero, _off_scale, _on_scale,
-                   _remove_part, diff_op_apply, h_apply, weight_basis,
-                   weight_index)
+                   _insert_part, _off_scale, _on_scale, _remove_part,
+                   diff_op_apply, h_apply, weight_basis, weight_index)
 from .report import FAIL, PASS, VerificationReport
 
 
@@ -230,20 +229,18 @@ def _verify_bracket(identity, m, n, max_weight, shift, central):
         parameters={"m": m, "n": n, "max_weight": max_weight},
         data={"central_term": rat_str(central)},
     )
-    # both sides as ints on the scale 4 den(scalar)
+    # both sides as ints on the scale 4 den(scalar), every cell listed
     d = scalar.denominator
-    memo = {}
-    for w in range(max_weight + 1):
-        for mon in weight_basis(w):
-            lhs = {out: d * c for out, c
-                   in _bracket_mon(0, 0, m, n, mon).items()}
-            rhs = {mon: 4 * scalar.numerator}
-            _iaxpy(rhs, _lpq_mon(0, 0, m + n, mon).terms, 2 * (m - n) * d)
-            rhs = _nonzero(rhs)
-            # equal vectors render to one string
-            text = _int_str(lhs, 4 * d, memo)
-            rep.add_cell(list(mon), text,
-                         text if lhs == rhs else _int_str(rhs, 4 * d, memo))
+
+    def cells():
+        for w in range(max_weight + 1):
+            for mon in weight_basis(w):
+                lhs = {out: d * c for out, c
+                       in _bracket_mon(0, 0, m, n, mon).items()}
+                rhs = {mon: 4 * scalar.numerator}
+                _iaxpy(rhs, _lpq_mon(0, 0, m + n, mon).terms, 2 * (m - n) * d)
+                yield rep, (list(mon),), lhs, rhs
+    VerificationReport.add_int_cells(4 * d, str, cells(), listed=True)
     return rep
 
 

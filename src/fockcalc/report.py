@@ -4,7 +4,8 @@ Every verifier in the package produces a VerificationReport: one cell per
 compared coefficient, with both sides kept as exact strings.  A cell is
 "pass" only when the two sides are exactly equal; cells that could not be
 certified (requested outside a certified window) are recorded as
-"uncertified" and never count as passed.
+"uncertified" and never count as passed.  Int cells are compared,
+rendered and counted by ``VerificationReport.add_int_cells``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 from operator import attrgetter
+
+from .fock import _label
 
 PASS = "pass"
 FAIL = "fail"
@@ -46,6 +50,19 @@ class Cell:
                 .format(*self._fields()))
 
 
+def _int_str(terms: dict, den: int, memo: dict) -> str:
+    """``fock_str`` of the vector terms / den, for an int term map with no
+    zero entry; memo maps a numerator n to ``rat_str(n / den)``."""
+    bits = []
+    for mon, n in sorted(terms.items()):
+        c = memo.get(n)
+        if c is None:
+            g = gcd(n, den)
+            c = memo[n] = str(n // g) if g == den else f"{n // g}/{den // g}"
+        bits.append(f"{c}*{_label(mon)}")
+    return " + ".join(bits) or "0"
+
+
 class VerificationReport:
     """The cells of one verification, its parameters and recorded data.
     cells and data default to a fresh list and dict per report."""
@@ -67,6 +84,33 @@ class VerificationReport:
 
     def add_uncertified(self, key):
         self.cells.append(Cell(str(key), "?", "?", UNCERTIFIED))
+
+    @staticmethod
+    def add_int_cells(den, key, cells, listed=False):
+        """Compare, render and count the int cells of one check, which may
+        feed several reports, on the scale den.  cells yields (report, k,
+        lhs, rhs), the sides den times int term maps, zero entries
+        allowed, or rhs None if uncertified.  A cell zero on both sides is
+        a bulk pass unless listed; any other is keyed key(*k) and passes
+        if its sides are equal.  One memo of coefficient strings serves
+        the call and goes with it."""
+        memo = {}
+        for rep, k, lhs, rhs in cells:
+            if rhs is None:
+                rep.cells.append(Cell(key(*k), "?", "?", UNCERTIFIED))
+                continue
+            if 0 in lhs.values():
+                lhs = {mon: x for mon, x in lhs.items() if x}
+            if 0 in rhs.values():
+                rhs = {mon: x for mon, x in rhs.items() if x}
+            if lhs != rhs:
+                rep.cells.append(Cell(key(*k), _int_str(lhs, den, memo),
+                                      _int_str(rhs, den, memo), FAIL))
+            elif lhs or listed:
+                text = _int_str(lhs, den, memo)
+                rep.cells.append(Cell(key(*k), text, text, PASS))
+            else:
+                rep.bulk_passed += 1
 
     @property
     def counts(self):
@@ -117,12 +161,6 @@ _CELL_KEYS = {"key", "lhs", "pass", "rhs", "status"}
 
 # cells per piece of ``json_chunks``
 _CHUNK_CELLS = 256
-
-
-def json_text(payload):
-    """``json.dumps(payload, indent=2, sort_keys=True)``: the pieces of
-    ``json_chunks``, joined."""
-    return "".join(json_chunks(payload))
 
 
 def json_chunks(payload):

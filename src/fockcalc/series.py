@@ -37,8 +37,8 @@ from math import factorial, lcm, prod
 from types import MappingProxyType
 
 from .exact import ZERO, UsageError, _add_into, bernoulli
-from .fock import (FockVector, _den, _iaxpy, _int_str, _nonzero,
-                   _off_scale, _on_scale, h_apply)
+from .fock import (FockVector, _den, _iaxpy, _nonzero, _off_scale,
+                   _on_scale, h_apply)
 from .quadratic import _lpq_mon
 from .report import VerificationReport
 
@@ -701,23 +701,19 @@ def contraction_check(v: FockVector, window: int) -> VerificationReport:
     # both sides as ints on the scale den(v); each h(-e) v is built once
     d = _den(v)
     vi = _on_scale(v, d)
-    memo = {}
     box = range(-window, window + 1)
     hv = {e: h_apply(-e, vi) for e in box}
-    for e1 in box:
-        for e2 in box:
-            lhs = h_apply(-e1, hv[e2]).terms
-            # normal order: the annihilation factor h(-e1) acts first
-            rhs = h_apply(-e2, hv[e1]).terms if e1 < 0 < e2 else lhs
-            if e1 + e2 == 0 < e2:
-                _iaxpy(rhs, vi.terms, e2)
-                rhs = _nonzero(rhs)
-            if lhs or rhs:
-                text = _int_str(lhs, d, memo)
-                rep.add_cell(f"x1^{e1} x2^{e2}", text,
-                             text if lhs == rhs else _int_str(rhs, d, memo))
-            else:
-                rep.bulk_passed += 1
+
+    def cells():
+        for e1 in box:
+            for e2 in box:
+                lhs = h_apply(-e1, hv[e2]).terms
+                # normal order: the annihilation factor h(-e1) acts first
+                rhs = h_apply(-e2, hv[e1]).terms if e1 < 0 < e2 else lhs
+                if e1 + e2 == 0 < e2:
+                    _iaxpy(rhs, vi.terms, e2)
+                yield rep, (e1, e2), lhs, rhs
+    VerificationReport.add_int_cells(d, "x1^{} x2^{}".format, cells())
     return rep
 
 
@@ -980,23 +976,14 @@ def _genfun_int_sides(v: FockVector, w: int, d: int) -> tuple:
     return scale, den_v, vi, lhs, rhs
 
 
-def _genfun_compare(v: FockVector, sides: tuple, conv: ExpansionConvention,
-                    w: int, d: int, memo: dict) -> VerificationReport:
-    """The report of one convention: the int sides of
-    ``_genfun_int_sides`` compared, with the expanded ++ correction acting
-    on v as identity added to the right side on the diagonal x2 = -x1.
-    memo holds the rendered coefficients of the scale E den(v)."""
-    scale, den_v, vi, lhs, rhs = sides
-    dvar = conv.distinguished
+def _genfun_cells(rep, sides, conv, w, d):
+    """The cells of rep, the report of one convention: the int sides of
+    ``_genfun_int_sides``, with the expanded ++ correction acting on v as
+    identity added on the diagonal x2 = -x1, uncertified where the
+    expansion is not.  Every other cell of the region is a bulk pass."""
+    scale, _, vi, lhs, rhs = sides
     floor_d = _genfun_floor(d)
-    varspecs = _genfun_space(w, d)
     correction = dict(_plusplus_correction(conv, w, d))
-    rep = VerificationReport(
-        identity="regularized-commutator-genfun",
-        parameters={"weight": v.max_weight(), "window": w, "ydeg": d,
-                    "convention": f"neg-powers-{dvar}",
-                    "dvar_floor": floor_d},
-    )
     candidates = set(lhs) | set(rhs)
     if vi:
         # the expansion leaves only the distinguished exponent negative,
@@ -1011,23 +998,18 @@ def _genfun_compare(v: FockVector, sides: tuple, conv: ExpansionConvention,
         comb_int(d - ed + 3, 3) for ed in range(floor_d, d + 1))
     rep.bulk_passed -= len(checked)
     for cell in checked:
-        key = _cell_key(varspecs, cell)
         lv = lhs.get(cell, {})
         rv = rhs.get(cell, {})
         if cell[4] + cell[5] == 0:
             ser = correction[cell[4]]
             ycell = cell[:4] + (0, 0)
             if not ser.known(ycell):
-                rep.add_uncertified(key)
+                yield rep, (cell,), lv, None
                 continue
             if c := ser.terms.get(ycell):
                 rv = dict(rv)
                 _iaxpy(rv, vi, _exact_div(c.numerator * scale, c.denominator))
-                rv = _nonzero(rv)
-        text = _int_str(lv, scale * den_v, memo)
-        rep.add_cell(key, text,
-                     text if lv == rv else _int_str(rv, scale * den_v, memo))
-    return rep
+        yield rep, (cell,), lv, rv
 
 
 def regularized_commutator_checks(v: FockVector, window: int, ydeg: int,
@@ -1043,14 +1025,25 @@ def regularized_commutator_checks(v: FockVector, window: int, ydeg: int,
     an outer variable.  Pole parts are carried symbolically and expanded
     at comparison time under each convention; the colon parts of both
     sides do not depend on it and are built once, in ints on one scale
-    per vector.  Compared cells: total y-degree <= ydeg, both x exponents
-    in the +-window, the distinguished variable allowed down to the
-    recorded pole floor.
+    per vector, for one ``add_int_cells`` call.  Compared cells: total
+    y-degree <= ydeg, both x exponents in the +-window, the distinguished
+    variable allowed down to the recorded pole floor.
     """
     sides = _genfun_int_sides(v, window, ydeg)
-    memo = {}
-    return [_genfun_compare(v, sides, conv, window, ydeg, memo)
-            for conv in convs]
+    reps = [VerificationReport(
+        identity="regularized-commutator-genfun",
+        parameters={"weight": v.max_weight(), "window": window, "ydeg": ydeg,
+                    "convention": f"neg-powers-{conv.distinguished}",
+                    "dvar_floor": _genfun_floor(ydeg)},
+    ) for conv in convs]
+    VerificationReport.add_int_cells(
+        sides[0] * sides[1],                       # the scale E den(v)
+        functools.partial(_cell_key, _genfun_space(window, ydeg)),
+        itertools.chain.from_iterable(
+            _genfun_cells(rep, sides, conv, window, ydeg)
+            for rep, conv in zip(reps, convs)),
+        listed=True)
+    return reps
 
 
 def regularized_commutator_check(v: FockVector, window: int, ydeg: int,

@@ -22,9 +22,8 @@ from math import factorial, lcm
 from types import MappingProxyType
 
 from .exact import PowerSeries
-from .fock import (FockVector, _den, _iaxpy, _insert_part, _int_str,
-                   _nonzero, _off_scale, _on_scale, _remove_part, vacuum,
-                   weight_basis)
+from .fock import (FockVector, _den, _iaxpy, _insert_part, _nonzero,
+                   _off_scale, _on_scale, _remove_part, vacuum, weight_basis)
 from .quadratic import L_apply
 from .report import FAIL, PASS, VerificationReport
 from .series import MultiSeries, _exact_div, comb_int, window_var
@@ -274,44 +273,31 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
     )
     mons = [m for w in range(max_weight + 1) for m in weight_basis(w)]
     vecs = {m: FockVector({m: 1}) for m in mons}
+    lab = {m: str(list(m)) for m in mons}
     one = FockVector({(): 1})
     two_omega = FockVector({(1, 1): 1})
-    memos = {1: {}, 2: {}, 4: {}}
     window = range(-mode_window, mode_window + 1)
-
-    def cell(den, key, lhs, rhs, listed=False):
-        # lhs / den = rhs / den, compared as ints with the zero entries
-        # dropped; equal sides render to one string.  A cell zero on both
-        # sides is a bulk pass unless it is listed.
-        lhs, rhs = _nonzero(lhs), _nonzero(rhs)
-        if lhs or rhs or listed:
-            text = _int_str(lhs, den, memos[den])
-            rep.add_cell(key, text, text if lhs == rhs
-                         else _int_str(rhs, den, memos[den]))
-        else:
-            rep.bulk_passed += 1
+    add = VerificationReport.add_int_cells   # one block of cells per call
 
     # vacuum operator: 1_n w = delta_{n,-1} w
-    for m in mons:
-        for n in window:
-            cell(1, f"vacuum-op n={n} w={list(m)}",
-                 mode_apply(one, n, vecs[m]).terms, {m: 1} if n == -1 else {})
+    add(1, "vacuum-op n={} w={}".format,
+        ((rep, (n, lab[m]), mode_apply(one, n, vecs[m]).terms,
+          {m: 1} if n == -1 else {}) for m in mons for n in window))
 
     # creation: Y(v,x)1 has no negative powers and constant term v
     for m in mons:
-        for n in range(0, mode_window + 1):
-            cell(1, f"creation v={list(m)} n={n}",
-                 mode_apply(vecs[m], n, one).terms, {})
-        cell(1, f"creation-constant v={list(m)}",
-             mode_apply(vecs[m], -1, one).terms, {m: 1}, listed=True)
+        add(1, "creation v={} n={}".format,
+            ((rep, (lab[m], n), mode_apply(vecs[m], n, one).terms, {})
+             for n in range(0, mode_window + 1)))
+        add(1, "creation-constant v={}".format,
+            [(rep, (lab[m],), mode_apply(vecs[m], -1, one).terms, {m: 1})],
+            listed=True)
 
     # lower truncation: u_n v = 0 for n beyond the weight bound
-    for mu in mons:
-        for mv in mons:
-            bound = sum(mu) + sum(mv) - 1
-            for n in range(bound + 1, mode_window + 2 * max_weight + 1):
-                cell(1, f"truncation u={list(mu)} v={list(mv)} n={n}",
-                     _mode_mon(mu, n, mv).terms, {})
+    add(1, "truncation u={} v={} n={}".format,
+        ((rep, (lab[mu], lab[mv], n), _mode_mon(mu, n, mv).terms, {})
+         for mu in mons for mv in mons
+         for n in range(sum(mu) + sum(mv), mode_window + 2 * max_weight + 1)))
 
     # conformal modes: grading, brackets with rank term, derivative property
     def lw(n, w):
@@ -320,47 +306,53 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
     # the Virasoro cells ask for each L(n) of a basis vector many times
     lw_basis = functools.cache(lambda n, m: lw(n, vecs[m]))
 
-    for m in mons:
-        cell(2, f"grading w={list(m)}", lw_basis(0, m), {m: 2 * sum(m)},
-             listed=True)
+    add(2, "grading w={}".format,
+        ((rep, (lab[m],), lw_basis(0, m), {m: 2 * sum(m)}) for m in mons),
+        listed=True)
 
-    # the left side at (n, m) is minus the one at (m, n), held until then
-    mirror = {}
-    for mm in window:
-        # the central term 4 rank (m^3 - m) / 12; a rank off the scale raises
-        central = _exact_div(4 * (mm ** 3 - mm) * VOAConstants.rank.numerator,
-                             12 * VOAConstants.rank.denominator)
-        for nn in window:
-            for m in mons:
-                if nn < mm:
-                    lhs = {o: -x for o, x in mirror.pop((nn, mm, m)).items()}
-                else:
-                    lhs = {}
-                    _iaxpy(lhs, lw(mm, FockVector(lw_basis(nn, m))), 1)
-                    _iaxpy(lhs, lw(nn, FockVector(lw_basis(mm, m))), -1)
-                    if nn > mm:
-                        mirror[(mm, nn, m)] = lhs
-                rhs = {}
-                _iaxpy(rhs, lw_basis(mm + nn, m), 2 * (mm - nn))
-                if mm + nn == 0:
-                    rhs[m] = rhs.get(m, 0) + central
-                cell(4, f"virasoro m={mm} n={nn} w={list(m)}", lhs, rhs)
+    def virasoro():
+        # the left side at (n, m) is minus the one at (m, n), held until then
+        mirror = {}
+        for mm in window:
+            # 4 rank (m^3 - m) / 12; a rank off the scale raises
+            central = _exact_div(
+                4 * (mm ** 3 - mm) * VOAConstants.rank.numerator,
+                12 * VOAConstants.rank.denominator)
+            for nn in window:
+                for m in mons:
+                    if nn < mm:
+                        lhs = {o: -x for o, x
+                               in mirror.pop((nn, mm, m)).items()}
+                    else:
+                        lhs = {}
+                        _iaxpy(lhs, lw(mm, FockVector(lw_basis(nn, m))), 1)
+                        _iaxpy(lhs, lw(nn, FockVector(lw_basis(mm, m))), -1)
+                        if nn > mm:
+                            mirror[(mm, nn, m)] = lhs
+                    rhs = {}
+                    _iaxpy(rhs, lw_basis(mm + nn, m), 2 * (mm - nn))
+                    if mm + nn == 0:
+                        rhs[m] = rhs.get(m, 0) + central
+                    yield rep, (mm, nn, lab[m]), lhs, rhs
+    add(4, "virasoro m={} n={} w={}".format, virasoro())
 
     # omega modes agree with the quadratic family
-    for n in window:
-        for m in mons:
-            cell(2, f"omega-mode n={n} w={list(m)}", lw_basis(n, m),
-                 _on_scale(L_apply(n, vecs[m]), 2).terms)
+    add(2, "omega-mode n={} w={}".format,
+        ((rep, (n, lab[m]), lw_basis(n, m),
+          _on_scale(L_apply(n, vecs[m]), 2).terms)
+         for n in window for m in mons))
 
     # translation-derivative: (L(-1)v)_n = -n v_{n-1}
-    for m in mons:
-        lv = FockVector(lw_basis(-1, m))
-        for n in window:
-            for mw in mons:
-                want = {}
-                _iaxpy(want, _mode_mon(m, n - 1, mw).terms, -2 * n)
-                cell(2, f"derivative v={list(m)} n={n} w={list(mw)}",
-                     mode_apply(lv, n, vecs[mw]).terms, want)
+    def derivative():
+        for m in mons:
+            lv = FockVector(lw_basis(-1, m))
+            for n in window:
+                for mw in mons:
+                    want = {}
+                    _iaxpy(want, _mode_mon(m, n - 1, mw).terms, -2 * n)
+                    yield (rep, (lab[m], n, lab[mw]),
+                           mode_apply(lv, n, vecs[mw]).terms, want)
+    add(2, "derivative v={} n={} w={}".format, derivative())
     return rep
 
 
@@ -528,44 +520,37 @@ def _check_orders(tab: _ProductTables, windows: dict, top: int, den: int,
     sum enters one cell of each; for u = v the orders share them.  The
     right side is sum c table(i, a0 + a1 + a2) over the (i, c) of the
     list terms(a0, a1), the order's iterate term.  Both sides are int
-    term maps on the scale den, compared with the zero entries dropped
-    and rendered from the ints, one memo of coefficient strings per
-    check; equal sides render to one string.  Cells with top + a0 + a1 +
-    a2 + 1 < 0 vanish on both sides by weight and count as bulk passes,
-    as do cells where both sides are zero.
+    term maps on the scale den, for one ``add_int_cells`` call over both
+    orders.  Cells with top + a0 + a1 + a2 + 1 < 0 vanish by weight and
+    count as bulk passes without being summed.
     """
     (lo0, hi0), (lo1, hi1), (lo2, hi2) = (windows[x] for x in ("x0", "x1",
                                                                 "x2"))
     r2 = range(lo2, hi2 + 1)
-    memo = {}
-    for a0 in range(lo0, hi0 + 1):
-        half = _slice_half_sums(tab, a0)
-        sign = -1 if a0 % 2 else 1
-        for swap, (rep, rhs_terms, table) in enumerate(sides):
-            first = bool(swap) and not tab.same
-            second = not swap and not tab.same
-            for a1 in range(lo1, hi1 + 1):
-                row = range(max(lo2, -(top + a0 + a1 + 1)), hi2 + 1)
-                rep.bulk_passed += len(r2) - len(row)
-                if not row:
-                    continue
-                terms = rhs_terms(a0, a1)
-                for a2 in row:
-                    lhs = half(first, a1, a2)
-                    if other := half(second, a2, a1):
-                        lhs = dict(lhs)
-                        _iaxpy(lhs, other, sign)
-                    rhs = {}
-                    for i, c in terms:
-                        _iaxpy(rhs, table(i, a0 + a1 + a2).terms, c)
-                    lhs, rhs = _nonzero(lhs), _nonzero(rhs)
-                    if lhs or rhs:
-                        text = _int_str(lhs, den, memo)
-                        rep.add_cell(f"x0^{a0} x1^{a1} x2^{a2}", text,
-                                     text if lhs == rhs
-                                     else _int_str(rhs, den, memo))
-                    else:
-                        rep.bulk_passed += 1
+
+    def cells():
+        for a0 in range(lo0, hi0 + 1):
+            half = _slice_half_sums(tab, a0)
+            sign = -1 if a0 % 2 else 1
+            for swap, (rep, rhs_terms, table) in enumerate(sides):
+                first = bool(swap) and not tab.same
+                second = not swap and not tab.same
+                for a1 in range(lo1, hi1 + 1):
+                    row = range(max(lo2, -(top + a0 + a1 + 1)), hi2 + 1)
+                    rep.bulk_passed += len(r2) - len(row)
+                    if not row:
+                        continue
+                    terms = rhs_terms(a0, a1)
+                    for a2 in row:
+                        lhs = half(first, a1, a2)
+                        if other := half(second, a2, a1):
+                            lhs = dict(lhs)
+                            _iaxpy(lhs, other, sign)
+                        rhs = {}
+                        for i, c in terms:
+                            _iaxpy(rhs, table(i, a0 + a1 + a2).terms, c)
+                        yield rep, (a0, a1, a2), lhs, rhs
+    VerificationReport.add_int_cells(den, "x0^{} x1^{} x2^{}".format, cells())
     return [rep for rep, _, _ in sides]
 
 

@@ -1,15 +1,19 @@
-"""Tests for the report records and the JSON writer: ``report.json_text``
-and the pieces ``report.json_chunks`` writes it in."""
+"""Tests for the report records and the JSON writer: the pieces
+``report.json_chunks`` writes a report in, which join to the text of
+``json.dumps(payload, indent=2, sort_keys=True)``."""
 
+import copy
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fockcalc import cli, report
-from fockcalc.report import (FAIL, PASS, VerificationReport, json_chunks,
-                             json_text)
+from fockcalc.exact import rat_str
+from fockcalc.fock import _label, _nonzero
+from fockcalc.report import FAIL, PASS, VerificationReport, json_chunks
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -33,11 +37,81 @@ def test_counts_follow_added_cells():
     assert not rep.passed
 
 
+# ---------------------------------------------------------------------------
+# VerificationReport.add_int_cells against the per-site loops it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_int_str(terms, den, memo):
+    """The renderer each verifier called, with a memo the caller kept for
+    one scale."""
+    if not terms:
+        return "0"
+    bits = []
+    for mon, n in sorted(terms.items()):
+        c = memo.get(n)
+        if c is None:
+            c = memo[n] = rat_str(Fraction(n, den))
+        bits.append(f"{c}*{_label(mon)}")
+    return " + ".join(bits)
+
+
+def _ref_add_int_cells(den, key, cells, listed, memo):
+    """The per-cell step of the verifiers before the batch method: zero
+    entries dropped, a cell zero on both sides a bulk pass unless listed,
+    equal sides rendered once, the status from ``add_cell``."""
+    for rep, k, lhs, rhs in cells:
+        if rhs is None:
+            rep.add_uncertified(key(*k))
+            continue
+        lhs, rhs = _nonzero(lhs), _nonzero(rhs)
+        if lhs or rhs or listed:
+            text = _ref_int_str(lhs, den, memo)
+            rep.add_cell(key(*k), text,
+                         text if lhs == rhs else _ref_int_str(rhs, den, memo))
+        else:
+            rep.bulk_passed += 1
+
+
+# int term maps over a few monomials, zero entries and empty maps included
+_INTS = st.dictionaries(st.sampled_from([(), (1,), (1, 1), (2,), (1, 3)]),
+                        st.integers(-13, 13), max_size=4)
+_SIDES = st.one_of(
+    _INTS.map(lambda d: (d, dict(d))),                  # equal sides
+    st.tuples(_INTS, _INTS | st.none()),                # any, or uncertified
+    st.just(({(1,): 0}, {})))                           # zero on both sides
+_BATCH = st.tuples(st.sampled_from([1, 2, 3, 4, 6, 12, 24]), st.booleans(),
+                   st.lists(st.tuples(st.integers(0, 1), _SIDES), max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_BATCH, min_size=1, max_size=4))
+def test_int_cells_match_the_per_cell_reference(batches):
+    got = [VerificationReport("t", {}) for _ in range(2)]
+    want = [VerificationReport("t", {}) for _ in range(2)]
+    for i, (den, listed, cells) in enumerate(batches):
+        cells = [((r, i, j), lhs, rhs)
+                 for j, (r, (lhs, rhs)) in enumerate(cells)]
+        before = copy.deepcopy(cells)
+        # one call per batch; the caller's memo of the reference lives as
+        # long as one call
+        VerificationReport.add_int_cells(
+            den, "r{} b{} c{}".format,
+            ((got[k[0]], k, lhs, rhs) for k, lhs, rhs in cells), listed)
+        assert cells == before
+        _ref_add_int_cells(den, "r{} b{} c{}".format,
+                           [(want[k[0]], k, lhs, rhs) for k, lhs, rhs in cells],
+                           listed, {})
+    for g, w in zip(got, want):
+        assert g.cells == w.cells
+        assert g.bulk_passed == w.bulk_passed
+        assert g.counts == w.counts
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.iterdir()))
 def test_writer_reproduces_golden_bytes(name):
     raw = (GOLDEN_DIR / name).read_text()
     assert raw.endswith("\n")
-    assert json_text(json.loads(raw)) == raw[:-1]
+    assert "".join(json_chunks(json.loads(raw))) == raw[:-1]
 
 
 # quotes, backslashes, control characters, non-ASCII and lone surrogates
@@ -84,7 +158,7 @@ _NESTED = {"schema": 1, "identity": "\ud800", "parameters": {},
      "pass": True, "rhs": "\U0001f600\udfff", "status": PASS},
     {"key": "", "lhs": "é", "pass": False, "rhs": "?", "status": FAIL}]})
 def test_writer_matches_json_dumps(payload):
-    text = json_text(payload)
+    text = "".join(json_chunks(payload))
     assert text == reference(payload)
     assert text.isascii()
 
@@ -99,7 +173,7 @@ def test_malformed_cell_raises(cell):
     good = {"key": "k", "lhs": "1", "pass": True, "rhs": "1", "status": PASS}
     payload = {"schema": 1, "data": {}, "cells": [good, cell]}
     with pytest.raises(ValueError, match="not a report cell"):
-        json_text(payload)
+        "".join(json_chunks(payload))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.iterdir()))

@@ -389,11 +389,12 @@ def test_check_orders_renders_both_sides_of_an_unequal_cell(monkeypatch):
     # sides are int term maps on the scale 2, zero entries dropped.
     from types import SimpleNamespace
 
+    from fockcalc import report
     from fockcalc.report import FAIL, PASS, VerificationReport
 
     rendered = []
-    real = voa._int_str
-    monkeypatch.setattr(voa, "_int_str", lambda terms, den, memo: (
+    real = report._int_str
+    monkeypatch.setattr(report, "_int_str", lambda terms, den, memo: (
         rendered.append(dict(terms)) or real(terms, den, memo)))
     h, two = {(1,): 2}, {(2,): 2}
     # the (u, v) cell (0, 0, a2) sums the half sums (False, 0, a2) and
