@@ -97,7 +97,7 @@ class VerificationReport:
         memo = {}
         for rep, k, lhs, rhs in cells:
             if rhs is None:
-                rep.cells.append(Cell(key(*k), "?", "?", UNCERTIFIED))
+                rep.add_uncertified(key(*k))
                 continue
             if 0 in lhs.values():
                 lhs = {mon: x for mon, x in lhs.items() if x}
