@@ -6,9 +6,9 @@ Subpackages:
 * ``fock``      - the partition-indexed state space and oscillator modes
 * ``quadratic`` - normal-ordered quadratic operator families and bracket
                   verifiers
-* ``series``    - sparse multivariate formal series, delta calculus, the
-                  two normal orderings and the generating-function
-                  commutator verifier
+* ``series``    - sparse multivariate formal series, localized pole
+                  series, the two normal orderings and the
+                  generating-function commutator verifier
 * ``voa``       - the rank-1 free boson vertex operator algebra and the
                   Jacobi-identity verifiers
 * ``cli``       - command-line driver producing deterministic reports
@@ -16,8 +16,7 @@ Subpackages:
 
 from .exact import (PowerSeries, ShiftedQSeries, bernoulli, chi_s,
                     graded_dimension, zeta_nonpositive)
-from .fock import (FockVector, LaurentPolyVector, basis, diff_op_apply,
-                   fock_str, h_apply, monomial, vacuum, weight)
+from .fock import FockVector, basis, fock_str, h_apply, vacuum
 from .quadratic import (CentralDecomposition, GradedOperator, L_apply,
                         Lbar_apply, Lr_apply, central_decompose, commutator,
                         to_matrix, verify_diff_op_projection,

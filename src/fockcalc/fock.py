@@ -5,10 +5,6 @@ indexed by integer partitions (parts sorted descending).  The mode h(n)
 acts by multiplication for n < 0, by n * d/dh(-n) for n > 0, and by zero
 for n = 0; the vacuum is the empty partition.  wt h(-j) = j, so the weight
 of a monomial is the sum of its parts.
-
-Also provides Laurent polynomials in t with the homogeneous derivative
-D = t d/dt, the target of the differential-operator projection of the
-quadratic operator families.
 """
 
 from __future__ import annotations
@@ -22,14 +18,6 @@ from .exact import ZERO, UsageError, _add_into, rat_str
 
 # A monomial is a tuple of parts sorted descending; () is the vacuum.
 VACUUM = ()
-
-
-def monomial(parts) -> tuple:
-    """Canonical monomial from an iterable of positive integer parts."""
-    parts = tuple(sorted(parts, reverse=True))
-    if any(p < 1 for p in parts):
-        raise UsageError("parts must be positive integers")
-    return parts
 
 
 class FockVector:
@@ -64,9 +52,6 @@ class FockVector:
             _add_into(out, mon, -c)
         return FockVector(out)
 
-    def __neg__(self):
-        return FockVector({mon: -c for mon, c in self.terms.items()})
-
     def scale(self, a):
         a = Fraction(a)
         if not a:
@@ -93,13 +78,6 @@ class FockVector:
         for mon, c in self.terms.items():
             buckets.setdefault(sum(mon), {})[mon] = c
         return [(w, FockVector(t)) for w, t in sorted(buckets.items())]
-
-    def __repr__(self):
-        return f"FockVector({fock_str(self)})"
-
-    def to_json(self):
-        return [{"monomial": list(mon), "coefficient": rat_str(c)}
-                for mon, c in sorted(self.terms.items())]
 
 
 def _den(v: FockVector) -> int:
@@ -198,16 +176,6 @@ def _remove_part(mon: tuple, part: int) -> tuple:
     return mon[:i] + mon[i + 1:]
 
 
-def weight(v: FockVector) -> int:
-    """Common weight of a homogeneous nonzero vector."""
-    weights = {sum(mon) for mon in v.terms}
-    if not weights:
-        raise UsageError("the zero vector has no weight")
-    if len(weights) > 1:
-        raise UsageError(f"vector is not weight-homogeneous: weights {sorted(weights)}")
-    return weights.pop()
-
-
 @functools.lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple:
     """All partitions of n as descending tuples, in descending lex order."""
@@ -250,76 +218,3 @@ def basis(max_weight: int) -> list:
         out.extend(weight_basis(w))
     return out
 
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in t and the operators D^r (t^n D) D^r
-# ---------------------------------------------------------------------------
-
-class LaurentPolyVector:
-    """Finitely supported map from integer powers of t to Fraction."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def monomial(cls, power: int, coeff=1):
-        coeff = Fraction(coeff)
-        return cls({power: coeff} if coeff else {})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPolyVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_into(out, k, c)
-        return LaurentPolyVector(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, a):
-        a = Fraction(a)
-        if not a:
-            return LaurentPolyVector()
-        return LaurentPolyVector({k: a * c for k, c in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "LaurentPolyVector(0)"
-        body = " + ".join(f"{rat_str(c)}*t^{k}" for k, c in sorted(self.terms.items()))
-        return f"LaurentPolyVector({body})"
-
-
-def d_apply(p: LaurentPolyVector) -> LaurentPolyVector:
-    """The homogeneous derivative D = t d/dt: D t^m = m t^m."""
-    return LaurentPolyVector({k: k * c for k, c in p.terms.items() if k})
-
-
-def t_mul(n: int, p: LaurentPolyVector) -> LaurentPolyVector:
-    return LaurentPolyVector({k + n: c for k, c in p.terms.items()})
-
-
-def diff_op_apply(r: int, n: int, p: LaurentPolyVector) -> LaurentPolyVector:
-    """Apply (-1)^{r+1} D^r (t^n D) D^r to a Laurent polynomial.
-
-    On t^m this gives (-1)^{r+1} m^{r+1} (m+n)^r t^{m+n}.
-    """
-    if r < 0:
-        raise UsageError("r must be >= 0")
-    out = p
-    for _ in range(r):
-        out = d_apply(out)
-    out = t_mul(n, d_apply(out))
-    for _ in range(r):
-        out = d_apply(out)
-    if r % 2 == 0:
-        out = LaurentPolyVector({k: -c for k, c in out.terms.items()})
-    return out

@@ -23,9 +23,8 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .exact import ZERO, UsageError, _add_into, rat_str, zeta_nonpositive
-from .fock import (FockVector, LaurentPolyVector, _den, _iaxpy,
-                   _insert_part, _off_scale, _on_scale, _remove_part,
-                   diff_op_apply, h_apply, weight_basis, weight_index)
+from .fock import (FockVector, _den, _iaxpy, _insert_part, _off_scale,
+                   _on_scale, _remove_part, weight_basis, weight_index)
 from .report import FAIL, PASS, VerificationReport
 
 
@@ -40,13 +39,6 @@ class FitError(ValueError):
 # ---------------------------------------------------------------------------
 # Operator applications (exact on the whole space)
 # ---------------------------------------------------------------------------
-
-def ordered_pair_apply(j: int, k: int, v: FockVector) -> FockVector:
-    """:h(j)h(k): v with the annihilation factor applied first."""
-    if j > 0 and k < 0:
-        return h_apply(k, h_apply(j, v))
-    return h_apply(j, h_apply(k, v))
-
 
 @functools.lru_cache(maxsize=None)
 def _lpq_mon(p: int, q: int, n: int, mon: tuple) -> FockVector:
@@ -349,14 +341,6 @@ class CentralDecomposition:
     def ok(self):
         return not self.residual
 
-    def __repr__(self):
-        kind = "Lbar" if self.regularized else "L"
-        ops = ", ".join(f"{rat_str(c)}*{kind}^({j})({self.m + self.n})"
-                        for j, c in enumerate(self.operator_part) if c)
-        return (f"CentralDecomposition({ops or '0'}"
-                f" + {rat_str(self.scalar_part)}*Id, residual "
-                f"{'0' if self.ok else 'NONZERO'})")
-
 
 def central_decompose(r: int, s: int, m: int, n: int, max_weight: int,
                       regularized: bool = True) -> CentralDecomposition:
@@ -468,14 +452,30 @@ def verify_monomial_purity(r: int, s: int, m_max: int,
     return rep
 
 
+def _diff_op_coeff(r: int, n: int, p: int) -> int:
+    """(-1)^{r+1} D^r (t^n D) D^r, with D = t d/dt, sends t^p to this
+    multiple of t^{p+n}: each D on t^q multiplies by q."""
+    return (-1) ** (r + 1) * p ** (r + 1) * (p + n) ** r
+
+
+def _laurent_str(c, k: int) -> str:
+    """The cell string of c t^k."""
+    # a report format: the verify-diffop golden and expected.json pin it
+    return f"LaurentPolyVector({rat_str(c)}*t^{k})" if c else "LaurentPolyVector(0)"
+
+
 def verify_diff_op_projection(r: int, s: int, m: int, n: int,
                               max_weight: int, p_bound: int) -> VerificationReport:
     """Project the operator part of [L^(r)(m), L^(s)(n)] to differential
     operators and compare with the directly computed Lie bracket.
 
-    Both sides are applied to t^p for |p| <= p_bound.  The scalar part of
-    the decomposition (the cocycle value) is recorded as data, not
-    asserted against any formula.
+    Both sides are applied to t^p for |p| <= p_bound.  On t^p each
+    operator gives one term, ``_diff_op_coeff`` times t^{p+n}, so each
+    side is one number at t^{p+m+n}: sum_j c_j a_j(m+n, p) on the left,
+    with a_r(n, p) = ``_diff_op_coeff(r, n, p)``, and a_r(m, p+n) a_s(n, p)
+    - a_s(n, p+m) a_r(m, p) on the right.  The scalar part of the
+    decomposition (the cocycle value) is recorded as data, not asserted
+    against any formula.
     """
     rep = VerificationReport(
         identity="diffop-projection",
@@ -497,13 +497,9 @@ def verify_diff_op_projection(r: int, s: int, m: int, n: int,
     ops = [(j, c.numerator * (d // c.denominator))
            for j, c in enumerate(dec.operator_part) if c]
     for p in range(-p_bound, p_bound + 1):
-        tp = LaurentPolyVector({p: 1})
-        acc = {}
-        for j, c in ops:
-            _iaxpy(acc, diff_op_apply(j, m + n, tp).terms, c)
-        lhs = LaurentPolyVector({k: Fraction(x, d)
-                                 for k, x in acc.items() if x})
-        rhs = (diff_op_apply(r, m, diff_op_apply(s, n, tp))
-               - diff_op_apply(s, n, diff_op_apply(r, m, tp)))
-        rep.add_cell(f"t^{p}", repr(lhs), repr(rhs))
+        k = p + m + n
+        lhs = Fraction(sum(c * _diff_op_coeff(j, m + n, p) for j, c in ops), d)
+        rhs = (_diff_op_coeff(r, m, p + n) * _diff_op_coeff(s, n, p)
+               - _diff_op_coeff(s, n, p + m) * _diff_op_coeff(r, m, p))
+        rep.add_cell(f"t^{p}", _laurent_str(lhs, k), _laurent_str(rhs, k))
     return rep

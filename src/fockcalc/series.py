@@ -280,25 +280,6 @@ class MultiSeries:
                 _add_into(out.terms, cell, a * b)
         return out._prune()
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self):
-        from .exact import rat_str
-        records = []
-        for cell in sorted(self.terms):
-            c = self.terms[cell]
-            records.append({
-                "exponents": {v.name: e for v, e in zip(self.varspecs, cell) if e},
-                "coefficient": c.to_json() if isinstance(c, FockVector)
-                               else rat_str(c),
-            })
-        return records
-
-    def __repr__(self):
-        names = ",".join(v.name for v in self.varspecs)
-        return (f"MultiSeries[{names}]({len(self.terms)} terms, "
-                f"tcap={self.tcap}, x={self.x_ival})")
-
 
 def _mul_interval(a_iv, a_supp, b_iv, b_supp):
     """Certified interval of a product in one window variable.

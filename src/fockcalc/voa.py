@@ -23,21 +23,17 @@ from types import MappingProxyType
 
 from .exact import PowerSeries
 from .fock import (FockVector, _den, _iaxpy, _insert_part, _nonzero,
-                   _off_scale, _on_scale, _remove_part, vacuum, weight_basis)
+                   _off_scale, _on_scale, _remove_part, weight_basis)
 from .quadratic import L_apply
 from .report import FAIL, PASS, VerificationReport
 from .series import MultiSeries, _exact_div, comb_int, window_var
 
 
 class VOAConstants:
-    """Distinguished data of the free boson structure: rank, vacuum, and
-    the conformal vector."""
+    """Distinguished data of the free boson structure: the rank and the
+    conformal vector."""
 
     rank = Fraction(1)
-
-    @staticmethod
-    def vacuum() -> FockVector:
-        return vacuum()
 
     @staticmethod
     def omega() -> FockVector:
@@ -404,12 +400,27 @@ def weak_comm_check(u: FockVector, v: FockVector, w: FockVector,
                     window: int, n_max: int) -> VerificationReport:
     """Find the least n <= n_max with (x1-x2)^n [Y(u,x1),Y(v,x2)]w = 0 on
     all certified cells of the +-window box; None, with an uncertified
-    cell, where the box misses every nonzero commutator cell."""
+    cell, where the box misses every nonzero commutator cell.
+
+    Order 0 is certified only where the commutator vanishes everywhere,
+    and the box of radius wt u + wt v (top weights) decides that.  Cell
+    (e1, e2) is [u_a, v_b]w with a = -e1-1, b = -e2-1, and by the
+    commutator formula [u_a, v_b] = sum_{j>=0} C(a, j) (u_j v)_{a+b-j},
+    where u_j v = 0 for j >= wt u + wt v.  If some u_j v is nonzero, let
+    J be the largest such j and fix a + b = J - 1.  The cell is then a
+    polynomial in a of degree J, with top coefficient (u_J v)_{-1} w / J!.
+    That is nonzero: for nonzero x and w, the part of x_{-1} w with the
+    most oscillator parts is the product of the parts of x and w with
+    the most parts, in the polynomial ring C[h(-1), h(-2), ...], since
+    every annihilation factor removes a part.  So the cell is nonzero at
+    some a in 0..J: -J-1 <= e1 <= -1 and -J <= e2 <= 0.
+    """
     rep = VerificationReport(
         identity="weak-commutativity",
         parameters={"window": window, "n_max": n_max},
     )
-    _, comm = _int_commutator_cells(u, v, w, window + n_max)
+    reach = max(window + n_max, u.max_weight() + v.max_weight())
+    _, comm = _int_commutator_cells(u, v, w, reach)
     box = range(-window, window + 1)
 
     def annihilates(n):

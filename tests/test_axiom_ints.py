@@ -21,12 +21,13 @@ from pathlib import Path
 import pytest
 
 from fockcalc import cli, voa
-from fockcalc.fock import FockVector, fock_str, monomial, vacuum, weight_basis
+from fockcalc.fock import FockVector, fock_str, vacuum, weight_basis
 from fockcalc.quadratic import L_apply
 from fockcalc.report import PASS, VerificationReport
 from fockcalc.series import comb_int
 from fockcalc.voa import (VOAConstants, _mode_mon, axiom_suite,
                           commutator_cells, mode_apply, weak_comm_check)
+from fock_reference import monomial
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 H = FockVector({(1,): Fraction(1)})

@@ -19,12 +19,13 @@ import pytest
 from fockcalc import voa
 from fockcalc.exact import PowerSeries, _add_into
 from fockcalc.fock import (FockVector, _off_scale, _on_scale, basis,
-                           fock_str, monomial, vacuum)
+                           fock_str, vacuum)
 from fockcalc.report import FAIL, PASS
 from fockcalc.series import MultiSeries, comb_int, window_var
 from fockcalc.voa import (VOAConstants, X_apply, _compose_zhu_with_log,
                           _mode_mon, dilated_jacobi_check, jacobi_check,
                           mode_apply, zhu_bracket_apply)
+from fock_reference import monomial
 
 H = FockVector({(1,): F(1)})
 OMEGA = VOAConstants.omega()

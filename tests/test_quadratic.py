@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockcalc.exact import ZERO, UsageError
-from fockcalc.fock import (FockVector, basis, fock_str, monomial, vacuum,
-                           weight, weight_basis)
+from fockcalc.fock import FockVector, basis, fock_str, vacuum, weight_basis
 from fockcalc.quadratic import (CentralDecomposition, FitError, L_apply,
                                 L_op, Lbar_apply, Lbar_op, Lr_apply, Lr_op,
                                 WindowError, central_decompose, commutator,
@@ -18,8 +17,9 @@ from fockcalc.quadratic import (CentralDecomposition, FitError, L_apply,
                                 verify_modified_virasoro,
                                 verify_monomial_purity, verify_virasoro)
 from fockcalc.quadratic import (_MATRIX_CACHE, _bracket_mon, _lpq_mon,
-                                _verify_bracket, ordered_pair_apply)
+                                _verify_bracket)
 from fockcalc.report import FAIL, PASS
+from fock_reference import monomial, ordered_pair_apply, weight
 
 
 def mono(*parts):
@@ -570,6 +570,20 @@ def test_diffop_cocycle_recorded_on_diagonal():
     assert rep.data["cocycle_value"] == "1/2"
 
 
+@pytest.mark.parametrize("r, s, m, n", [
+    (0, 0, 2, 1), (1, 0, 1, -2), (1, 1, 2, -1), (0, 1, 2, -2)])
+def test_diffop_cells_stay_when_the_laurent_bound_grows(r, s, m, n):
+    small = verify_diff_op_projection(r, s, m, n, 5, 3)
+    assert small.passed
+    for p_bound in (4, 8):
+        big = verify_diff_op_projection(r, s, m, n, 5, p_bound)
+        assert big.data == small.data
+        cells = {c.key: c for c in big.cells}
+        assert len(cells) == 2 * p_bound + 1
+        for c in small.cells:
+            assert cells[c.key] == c
+
+
 def test_operator_spec_identity():
     op = to_matrix(identity_op(), 3)
     for w in range(4):
@@ -577,8 +591,8 @@ def test_operator_spec_identity():
             assert op.cols[w][i] == FockVector({mon_: F(1)})
 
 
-def test_decomposition_repr():
+def test_decomposition_of_the_virasoro_bracket():
     dec = central_decompose(0, 0, 1, -1, 5)
     assert isinstance(dec, CentralDecomposition)
-    assert "residual 0" in repr(dec)
+    assert dec.ok
     assert dec.scalar_part == F(1, 12)

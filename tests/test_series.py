@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from fockcalc import series
 from fockcalc.exact import UsageError, _add_into
-from fockcalc.fock import FockVector, basis, fock_str, monomial, vacuum
-from fockcalc.quadratic import (Lbar_apply, Lr_apply, L_apply, _lpq_mon,
-                                ordered_pair_apply)
+from fockcalc.fock import FockVector, basis, fock_str, vacuum
+from fockcalc.quadratic import Lbar_apply, Lr_apply, L_apply, _lpq_mon
 from fockcalc.report import VerificationReport
 from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, MultiSeries,
                              UncertifiedError, comb_int, contraction_check,
@@ -26,6 +25,7 @@ from fockcalc.series import (_RHS_TERMS, _cell_key, _exp_cells,
                              _genfun_scalars, _genfun_space, _pair_weights,
                              _plusplus_correction, _plusplus_pieces,
                              slot_pair_apply)
+from fock_reference import monomial, ordered_pair_apply
 from series_reference import (apply_dilation, apply_taylor, constant_series,
                               delta_series, derivative_pole, exp_linear_form,
                               localized_mul_series, localized_scale,
@@ -934,10 +934,3 @@ def test_sides_on_too_coarse_a_scale_raise(monkeypatch):
     with pytest.raises(ValueError):
         regularized_commutator_checks(_ORACLE_VECTORS[-1], 1, 1,
                                       (NEG_POWERS_Y1,))
-
-
-def test_multiseries_json_records():
-    vs = (trunc_var("y", 2), window_var("x", -3, 3))
-    ser = monomial_series(vs, {"x": -2}, F(3, 4))
-    records = ser.to_json()
-    assert records == [{"exponents": {"x": -2}, "coefficient": "3/4"}]

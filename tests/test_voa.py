@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from fockcalc import cli, voa
 from fockcalc.fock import (FockVector, _den, _iaxpy, _off_scale, _on_scale,
-                           basis, h_apply, monomial, vacuum)
+                           basis, h_apply, vacuum)
 from fockcalc.quadratic import L_apply, to_matrix, L_op
+from fockcalc.report import UNCERTIFIED
 from fockcalc.series import comb_int
 from fockcalc.voa import (VOAConstants, X_apply, axiom_suite,
                           commutator_cells, dilated_jacobi_check,
                           jacobi_check, mode_apply, weak_comm_check,
                           x_commutator_cells, zhu_bracket_apply)
 from fockcalc.voa import _compose_zhu_with_log, _mode_mon
+from fock_reference import monomial, weight
 
 
 def mono(*parts):
@@ -69,7 +71,6 @@ def test_mode_weight_bookkeeping():
             for n in range(-4, 6):
                 out = mode_apply(u, n, w)
                 if out:
-                    from fockcalc.fock import weight
                     assert weight(out) == sum(umon) + sum(wmon) - n - 1
 
 
@@ -133,6 +134,35 @@ def test_weak_commutativity_orders():
     assert weak_comm_check(H, H, vacuum(), 5, 6).data["order_found"] == 2
     assert weak_comm_check(vacuum(), OMEGA, vacuum(), 5, 6).data["order_found"] == 0
     assert weak_comm_check(OMEGA, OMEGA, vacuum(), 5, 8).data["order_found"] == 4
+
+
+@pytest.mark.parametrize("u, window, n_max", [
+    (H, 0, 0), (H, 0, 1), (H, 1, 0), (OMEGA, 0, 0)])
+def test_weak_comm_order_stays_uncertified_at_small_n_max(u, window, n_max):
+    # neither the box nor the cells the (x1-x2)^n search reads hold a
+    # nonzero commutator cell here, but the commutator is not zero: the
+    # true orders are 2 (h, h) and 4 (omega, omega)
+    rep = weak_comm_check(u, u, vacuum(), window, n_max)
+    assert rep.data["order_found"] is None
+    assert [(c.key, c.status) for c in rep.cells] == [
+        ("annihilation-order", UNCERTIFIED)]
+
+
+def test_nonzero_commutator_has_a_cell_near_the_origin():
+    # weak_comm_check's docstring: a commutator that is nonzero anywhere is
+    # nonzero at a cell with -J-1 <= e1 <= -1 and -J <= e2 <= 0, where
+    # J < wt u + wt v; checked against a wider box
+    states = [FockVector({mon: F(1)}) for mon in basis(3)]
+    states.append(OMEGA + H.scale(2))
+    for u in states:
+        for v in states:
+            top = u.max_weight() + v.max_weight()
+            for wmon in basis(2):
+                cells = commutator_cells(u, v, FockVector({wmon: F(1)}),
+                                         top + 3)
+                near = [(e1, e2) for e1, e2 in cells
+                        if -top <= e1 <= -1 and 1 - top <= e2 <= 0]
+                assert bool(near) == bool(cells), (u.terms, v.terms, wmon)
 
 
 def test_commutator_cells_match_oscillator_bracket():
