@@ -327,11 +327,8 @@ class CentralDecomposition:
     degenerate-but-consistent fit still certifies the span containment.
     """
 
-    def __init__(self, r: int, s: int, m: int, n: int, regularized: bool,
-                 operator_part: list, scalar_part: Fraction, residual: dict,
-                 unique: bool = True):
-        self.r, self.s, self.m, self.n = r, s, m, n
-        self.regularized = regularized
+    def __init__(self, operator_part: list, scalar_part: Fraction,
+                 residual: dict, unique: bool = True):
         self.operator_part = operator_part
         self.scalar_part = scalar_part
         self.residual = residual
@@ -396,8 +393,7 @@ def central_decompose(r: int, s: int, m: int, n: int, max_weight: int,
             _iaxpy(acc, f.terms, -2 * c)
         if diff := _off_scale(acc, 4 * d):
             residual[mon] = diff
-    return CentralDecomposition(r, s, m, n, regularized, op_part, scalar,
-                                residual, unique)
+    return CentralDecomposition(op_part, scalar, residual, unique)
 
 
 def verify_monomial_purity(r: int, s: int, m_max: int,

@@ -23,11 +23,9 @@ import pytest
 from fockcalc import cli, quadratic, voa
 from fockcalc.exact import ZERO, _add_into, rat_str
 from fockcalc.fock import (FockVector, _iaxpy, _off_scale, basis, fock_str,
-                           h_apply, vacuum,
-                           weight_basis)
+                           h_apply, vacuum, weight_basis)
 from fockcalc.quadratic import (_bracket_mon, _lpq_mon, _verify_bracket,
-                                _zeta_shift,
-                                verify_diff_op_projection)
+                                _zeta_shift, verify_diff_op_projection)
 from fockcalc.report import FAIL, VerificationReport
 from fockcalc.series import contraction_check
 from fockcalc.voa import _mode_mon, axiom_suite

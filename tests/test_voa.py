@@ -160,9 +160,9 @@ def test_nonzero_commutator_has_a_cell_near_the_origin():
             for wmon in basis(2):
                 cells = commutator_cells(u, v, FockVector({wmon: F(1)}),
                                          top + 3)
-                near = [(e1, e2) for e1, e2 in cells
-                        if -top <= e1 <= -1 and 1 - top <= e2 <= 0]
-                assert bool(near) == bool(cells), (u.terms, v.terms, wmon)
+                near = any(-top <= e1 <= -1 and 1 - top <= e2 <= 0
+                           for e1, e2 in cells)
+                assert near == bool(cells), (u.terms, v.terms, wmon)
 
 
 def test_commutator_cells_match_oscillator_bracket():
