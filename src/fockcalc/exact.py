@@ -65,6 +65,31 @@ def _add_into(terms: dict, key, val) -> None:
             del terms[key]
 
 
+def _divide_out(cells, d: int, c: int, mu: dict, k: int):
+    """The quotient of sum x y^cell ((exponent tuple, int x) pairs) by
+    lam^k, lam = c y_d + sum_j mu[j] y_j, as a dict; None if c does not
+    divide a pivot or a remainder is left.  Synthetic division in y_d,
+    highest exponent first; what is left at exponent <= 0 is remainder."""
+    for _ in range(k):
+        levels, quot = {}, {}
+        for cell, x in cells:
+            levels.setdefault(cell[d], {})[cell] = x
+        for e in range(max(levels), min(min(levels), 0) - 1, -1):
+            for cell, x in levels.get(e, {}).items():
+                if x:
+                    q, r = divmod(x, c)
+                    if r or e <= 0:
+                        return None
+                    cell = cell[:d] + (e - 1,) + cell[d + 1:]
+                    quot[cell] = q
+                    below = levels.setdefault(e - 1, {})
+                    for j, m in mu.items():
+                        t = cell[:j] + (cell[j] + 1,) + cell[j + 1:]
+                        below[t] = below.get(t, 0) - m * q
+        cells = quot.items()
+    return quot
+
+
 class PowerSeries:
     """Truncated power series sum_{0 <= n <= order} c_n x^n over Fraction.
 

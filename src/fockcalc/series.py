@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from types import MappingProxyType
 
-from .exact import ZERO, UsageError, _add_into, bernoulli
+from .exact import ZERO, UsageError, _add_into, _divide_out, bernoulli
 from .fock import (FockVector, _den, _iaxpy, _nonzero, _off_scale,
                    _on_scale, h_apply)
 from .quadratic import _lpq_mon
@@ -402,22 +402,23 @@ class LocalizedSeries:
         mu = lambda - c_d y_d.  Certified for cells with distinguished
         exponent >= dvar_floor and total degree <= body.tcap - k.
 
-        The body must be scalar.  Body cell b times a mu^i cell lands at
-        total degree tdeg(b) - k and distinguished exponent b[d] - k - i,
-        so only body cells with tdeg(b) <= body.tcap and
-        b[d] >= dvar_floor + k + i are enumerated at step i, for i up to
-        imax.  The sums run in ints: the body over the lcm D of its
-        denominators, and step i weighted by c_d^(imax-i) in place of a
-        division by c_d^(k+i); each surviving cell is divided by
-        D c_d^(k+imax) once.
+        The body must be scalar; only its cells B of total degree <=
+        body.tcap are read, as ints over the lcm D of their denominators.
+        If lambda^k divides B (``_divide_out``: checked, never assumed),
+        as every ++ pole sum does, B/lambda^k is a polynomial, its own
+        expansion under either convention, and of total degree <=
+        body.tcap - k, so certified; its cells at d exponent >= dvar_floor
+        are returned.  Else a body cell b times a mu^i cell lands at d
+        exponent b[d] - k - i, so step i <= imax enumerates only the cells
+        with b[d] >= dvar_floor + k + i, weighted by c_d^(imax-i), not
+        divided by c_d^(k+i); each sum is divided by D c_d^(k+imax) once.
 
-        Cells are summed as packed ints: digit j (base B, place B^j) of
-        a key is exponent j minus its least possible value, the body
-        minimum, less k + imax at the distinguished position.  Every
-        digit of a product lies in 0..B-1 with B the widest exponent
-        range plus 1, a mu position's range widened by imax; so a
-        product is a key sum, the shift y_d^{-k-i} one subtraction and
-        a mu step one addition of B^j.  Only nonzero sums are unpacked.
+        Cells are summed as packed ints: digit j (base B, place B^j) of a
+        key is exponent j less its least possible value (the body
+        minimum, less k + imax at d).  B is the widest exponent range
+        plus 1, a mu position's widened by imax, so no digit carries: a
+        product is a key sum, y_d^{-k-i} one subtraction and a mu step
+        one addition of B^j.  Only nonzero sums are unpacked.
         """
         dvar = conv.distinguished
         c_d = self.pole.get(dvar, 0)
@@ -443,6 +444,10 @@ class LocalizedSeries:
         den = lcm(*(val.denominator for _, val in cells))
         cells = sorted(((b, val.numerator * (den // val.denominator))
                         for b, val in cells), key=lambda item: -item[0][di])
+        if (quot := _divide_out(cells, di, c_d, mu, k)) is not None:
+            out.terms = {b: Fraction(x, den) for b, x in quot.items()
+                         if b[di] >= dvar_floor}
+            return out
         imax = min(max(body.tcap - k - dvar_floor, 0),
                    cells[0][0][di] - dvar_floor - k)
         if not mu:

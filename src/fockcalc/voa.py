@@ -357,12 +357,12 @@ def axiom_suite(max_weight: int, mode_window: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _int_commutator_cells(u: FockVector, v: FockVector, w: FockVector,
-                          window: int) -> tuple:
-    """``commutator_cells`` as int term maps on the scale D = den(u) den(v)
-    den(w): returns (D, {cell: ints}), zero cells dropped."""
+                          lo: int, hi: int) -> tuple:
+    """``commutator_cells`` on [lo, hi]^2 as int term maps on the scale
+    D = den(u) den(v) den(w): returns (D, {cell: ints}), zero cells dropped."""
     du, dv, dw = _den(u), _den(v), _den(w)
     ui, vi, wi = _on_scale(u, du), _on_scale(v, dv), _on_scale(w, dw)
-    box = range(-window, window + 1)
+    box = range(lo, hi + 1)
     uw = {e: mode_apply(ui, -e - 1, wi) for e in box}
     vw = {e: mode_apply(vi, -e - 1, wi) for e in box}
     cells = {}
@@ -379,7 +379,7 @@ def _int_commutator_cells(u: FockVector, v: FockVector, w: FockVector,
 def commutator_cells(u: FockVector, v: FockVector, w: FockVector,
                      window: int) -> dict:
     """[Y(u,x1), Y(v,x2)]w coefficients on the +-window box, by cell."""
-    den, cells = _int_commutator_cells(u, v, w, window)
+    den, cells = _int_commutator_cells(u, v, w, -window, window)
     return {cell: _off_scale(ints, den) for cell, ints in cells.items()}
 
 
@@ -414,13 +414,18 @@ def weak_comm_check(u: FockVector, v: FockVector, w: FockVector,
     the most parts, in the polynomial ring C[h(-1), h(-2), ...], since
     every annihilation factor removes a part.  So the cell is nonzero at
     some a in 0..J: -J-1 <= e1 <= -1 and -J <= e2 <= 0.
+
+    Only the box [-reach, window]^2 is computed, reach = max(window +
+    n_max, wt u + wt v): the search reads cells in [-window - n_max,
+    window]^2, and as J + 1 <= wt u + wt v and window >= 0, the box holds
+    the region above, which decides order 0.
     """
     rep = VerificationReport(
         identity="weak-commutativity",
         parameters={"window": window, "n_max": n_max},
     )
     reach = max(window + n_max, u.max_weight() + v.max_weight())
-    _, comm = _int_commutator_cells(u, v, w, reach)
+    _, comm = _int_commutator_cells(u, v, w, -reach, window)
     box = range(-window, window + 1)
 
     def annihilates(n):

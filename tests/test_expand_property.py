@@ -14,16 +14,23 @@ that ``expand`` ran before it packed each cell into one int; the
 strategy draws window exponents in -6..6 beside trunc exponents in 0..3,
 single-cell bodies (packing base 1) and floors down to -12, so that the
 packing's digit bounds are met at both ends.
+
+Where lambda^k divides the body, ``expand`` returns the quotient found by
+synthetic division instead (``exact._divide_out``).  Bodies built as
+lambda^k Q check that path against Q itself and the three references,
+with a spy on the division to show that it ran.
 """
 
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fockcalc.exact import UsageError, _add_into
+from fockcalc import series
+from fockcalc.exact import UsageError, _add_into, _divide_out
 from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, LocalizedSeries,
                              MultiSeries, comb_int, trunc_var, window_var)
 from series_reference import localized_add
@@ -190,6 +197,94 @@ def test_expand_matches_generate_then_filter(case):
     assert got.tcap == want.tcap
     assert got.neg_floor == want.neg_floor
     assert got.x_ival == want.x_ival
+
+
+def expand_with_spy(loc, conv, dvar_floor):
+    """loc.expand(conv, dvar_floor) and what each division returned."""
+    runs = []
+
+    def spy(*args):
+        runs.append(quot := _divide_out(*args))
+        return quot
+
+    with mock.patch.object(series, "_divide_out", spy):
+        return loc.expand(conv, dvar_floor), runs
+
+
+def times_linear_form(terms, pole):
+    out = {}
+    for cell, x in terms.items():
+        for j, c in enumerate(pole.values()):
+            if c:
+                new = cell[:j] + (cell[j] + 1,) + cell[j + 1:]
+                out[new] = out.get(new, 0) + c * x
+    return {cell: x for cell, x in out.items() if x}
+
+
+@st.composite
+def divisible_series(draw):
+    # lambda^k Q with lambda primitive: by Gauss's lemma Q over the lcm of
+    # the body's denominators is an int polynomial, so c_d divides every
+    # pivot; Q's cells of degree above tcap - k put body cells above tcap
+    conv = draw(st.sampled_from((NEG_POWERS_Y1, NEG_POWERS_Y2)))
+    coef = st.integers(-3, 3)
+    pole = {"y1": draw(coef), "y2": draw(coef), "y3": draw(coef)}
+    pole[conv.distinguished] = draw(coef.filter(bool))
+    assume(any(c for n, c in pole.items() if n != conv.distinguished))
+    assume(gcd(*pole.values()) == 1)
+    k = draw(st.integers(1, 3))
+    tcap = draw(st.integers(k, k + 3))
+    cell = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                     st.integers(-6, 6))
+    quot = draw(st.dictionaries(
+        cell, st.fractions(min_value=-4, max_value=4, max_denominator=6)
+        .filter(bool), min_size=1, max_size=6))
+    assume(any(sum(c[:3]) <= tcap - k for c in quot))
+    terms = quot
+    for _ in range(k):
+        terms = times_linear_form(terms, pole)
+    body = MultiSeries(VARSPECS, terms, {"x": (None, None)}, tcap)
+    return (LocalizedSeries(pole, k, body), conv, draw(st.integers(-12, 2)),
+            quot)
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisible_series())
+def test_divisible_body_expands_to_its_quotient(case):
+    loc, conv, dvar_floor, quot = case
+    got, runs = expand_with_spy(loc, conv, dvar_floor)
+    assert len(runs) == 1 and runs[0] is not None
+    di = loc.body.pos(conv.distinguished)
+    tcap = loc.body.tcap - loc.order
+    assert got.terms == {cell: x for cell, x in quot.items()
+                         if sum(cell[:3]) <= tcap and cell[di] >= dvar_floor}
+    for ref in (reference_expand, fraction_loop_expand, tuple_loop_expand):
+        assert got.terms == ref(loc, conv, dvar_floor).terms, ref.__name__
+    assert all(type(c) is F for c in got.terms.values())
+    assert got.tcap == tcap
+    assert got.neg_floor == {conv.distinguished: dvar_floor}
+    assert got.x_ival == {"x": (None, None)}
+
+
+@pytest.mark.parametrize("pole,order,terms", [
+    # (y1 - y2) y3 + y2^2: the y2^2 is left at y1 exponent 0
+    ({"y1": 1, "y2": -1, "y3": 0}, 1,
+     {(1, 0, 1, 0): F(1), (0, 1, 1, 0): F(-1), (0, 2, 0, 0): F(1)}),
+    # y1 / (2 y1 + y2): 2 does not divide the pivot 1
+    ({"y1": 2, "y2": 1, "y3": 0}, 1, {(1, 0, 0, 0): F(1)}),
+    # (y1 + y2) y2 / (y1 + y2)^2: the first division leaves y2, which the
+    # second cannot divide
+    ({"y1": 1, "y2": 1, "y3": 0}, 2,
+     {(1, 1, 0, 0): F(1), (0, 2, 0, 0): F(1)})],
+    ids=["remainder", "pivot", "remainder-at-k"])
+def test_body_left_with_a_remainder_takes_the_binomial_loop(pole, order,
+                                                            terms):
+    loc = LocalizedSeries(pole, order,
+                          MultiSeries(VARSPECS, terms, {"x": (None, None)}, 3))
+    got, runs = expand_with_spy(loc, NEG_POWERS_Y1, -6)
+    assert runs == [None]
+    assert got.terms == reference_expand(loc, NEG_POWERS_Y1, -6).terms
+    assert got.terms
 
 
 @settings(max_examples=200, deadline=None)

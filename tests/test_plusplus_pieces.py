@@ -8,6 +8,11 @@ plusplus_pieces`` builds the same sums cell by cell on exponent tuples
 from Fraction series.  Every piece must agree in pole, order and body,
 cell for cell, at the scales the closed form of the correction is
 checked at and at every window up to 6 for ydeg <= 2.
+
+Each opposite-pole pair sums to a polynomial over lam^3 (1/4 E F_n(lam)
+with F_n a polynomial in e^lam), so at every one of these scales each
+nonempty pole sum must take the exact-division path of ``expand``, and
+the correction must equal the binomial expansion of the same sums.
 """
 
 from fractions import Fraction as F
@@ -15,8 +20,11 @@ from types import MappingProxyType
 
 import pytest
 
-from fockcalc.series import _exp_cells, _plusplus_pieces
+from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, _exp_cells,
+                             _genfun_floor, _plusplus_correction,
+                             _plusplus_pieces)
 from series_reference import exp_cells_by_recursion, plusplus_pieces
+from test_expand_property import expand_with_spy, tuple_loop_expand
 
 SCALES = sorted({(2, 0), (3, 1), (2, 2), (5, 2), (3, 3), (4, 4), (6, 2)}
                 | {(w, d) for w in range(7) for d in range(3)})
@@ -42,6 +50,26 @@ def test_pieces_match_fraction_reference(window, ydeg):
             assert body.tcap == rbody.tcap == ydeg + 3
             assert body.x_ival == rbody.x_ival
             assert body.neg_floor == rbody.neg_floor == {}
+
+
+@pytest.mark.parametrize("window,ydeg", SCALES)
+def test_pole_sums_divide_and_match_the_binomial_route(window, ydeg):
+    floor = _genfun_floor(ydeg)
+    for conv in (NEG_POWERS_Y1, NEG_POWERS_Y2):
+        pieces = _plusplus_pieces(window, ydeg)
+        for (n, ser), (_, locs) in zip(_plusplus_correction(conv, window,
+                                                            ydeg), pieces):
+            want = None
+            for loc in locs:
+                got, runs = expand_with_spy(loc, conv, floor)
+                if loc.body.terms:
+                    assert len(runs) == 1 and runs[0] is not None, n
+                part = tuple_loop_expand(loc, conv, floor)
+                assert got.terms == part.terms, n
+                want = part if want is None else want.add(part)
+            assert dict(ser.terms) == want.terms, n
+            assert (ser.tcap, ser.neg_floor, ser.x_ival) == (
+                want.tcap, want.neg_floor, want.x_ival)
 
 
 def test_pieces_reach_the_digit_bound():

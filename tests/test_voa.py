@@ -12,13 +12,14 @@ from fockcalc import cli, voa
 from fockcalc.fock import (FockVector, _den, _iaxpy, _off_scale, _on_scale,
                            basis, h_apply, vacuum)
 from fockcalc.quadratic import L_apply, to_matrix, L_op
-from fockcalc.report import UNCERTIFIED
+from fockcalc.report import FAIL, PASS, UNCERTIFIED, VerificationReport
 from fockcalc.series import comb_int
 from fockcalc.voa import (VOAConstants, X_apply, axiom_suite,
                           commutator_cells, dilated_jacobi_check,
                           jacobi_check, mode_apply, weak_comm_check,
                           x_commutator_cells, zhu_bracket_apply)
-from fockcalc.voa import _compose_zhu_with_log, _mode_mon
+from fockcalc.voa import (_compose_zhu_with_log, _int_commutator_cells,
+                          _mode_mon)
 from fock_reference import monomial, weight
 
 
@@ -163,6 +164,60 @@ def test_nonzero_commutator_has_a_cell_near_the_origin():
                 near = any(-top <= e1 <= -1 and 1 - top <= e2 <= 0
                            for e1, e2 in cells)
                 assert near == bool(cells), (u.terms, v.terms, wmon)
+
+
+def _weak_comm_on_the_full_box(u, v, w, window, n_max):
+    # weak_comm_check computing the whole +-reach square, as it did before
+    # it asked only for the cells its search reads
+    rep = VerificationReport(identity="weak-commutativity",
+                             parameters={"window": window, "n_max": n_max})
+    reach = max(window + n_max, u.max_weight() + v.max_weight())
+    _, comm = _int_commutator_cells(u, v, w, -reach, reach)
+    box = range(-window, window + 1)
+
+    def annihilates(n):
+        for a1 in box:
+            for a2 in box:
+                acc = {}
+                for k in range(n + 1):
+                    if got := comm.get((a1 - (n - k), a2 - k)):
+                        _iaxpy(acc, got, comb_int(n, k) * (-1) ** k)
+                if any(acc.values()):
+                    return False
+        return True
+
+    found = next((n for n in range(n_max + 1) if annihilates(n)), None)
+    if found == 0 and comm:
+        rep.add_uncertified("annihilation-order")
+        found = None
+    elif found is None:
+        rep.add_cell("annihilation-order", "not found", f"<= {n_max}", FAIL)
+    else:
+        rep.add_cell("annihilation-order", str(found), str(found), PASS)
+    rep.data["order_found"] = found
+    return rep
+
+
+@pytest.mark.parametrize("u", [vacuum(), H, OMEGA], ids=["1", "h", "omega"])
+@pytest.mark.parametrize("v", [vacuum(), H, OMEGA], ids=["1", "h", "omega"])
+def test_weak_comm_matches_the_full_box(u, v):
+    # the narrowed box [-reach, window]^2 gives the same report as the
+    # full +-reach square, for every window 0..6 and n_max 0..9
+    for window in range(7):
+        for n_max in range(10):
+            got = weak_comm_check(u, v, vacuum(), window, n_max)
+            want = _weak_comm_on_the_full_box(u, v, vacuum(), window, n_max)
+            assert got.to_json_dict() == want.to_json_dict(), (window, n_max)
+
+
+def test_int_commutator_cells_on_a_box_are_the_full_square_cut_down():
+    w = mono(1) + mono(2)
+    _, full = _int_commutator_cells(OMEGA, H, w, -6, 6)
+    for lo, hi in ((-6, 2), (-3, 0), (-1, 4), (0, 0)):
+        _, got = _int_commutator_cells(OMEGA, H, w, lo, hi)
+        assert got == {cell: x for cell, x in full.items()
+                       if lo <= min(cell) and max(cell) <= hi}
+    assert full
 
 
 def test_commutator_cells_match_oscillator_bracket():
