@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from fractions import Fraction
 
@@ -358,26 +359,35 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command with the cyclic collector paused from parsing to the
+    last write, re-enabled only if it was on.  No check's tables form a
+    cycle; the few cycles left wait for a later one (test_gc_pause.py)."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        code, payload, text = globals()[args.handler](args)
-    except (UncertifiedError, WindowError, FitError) as exc:
-        # an uncertified coefficient, a window too small to certify a
-        # block, or a fit with no exact solution: a result, not misuse
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UsageError as exc:
-        # a named precondition; any other exception is a bug and raises
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # a JSON report is checked whole before its first piece is written
-    chunks = json_chunks(payload) if args.format == "json" else (text,)
-    if args.output:
-        with open(args.output, "w") as fh:
-            write_chunks(fh, chunks)
-    else:
-        write_chunks(sys.stdout, chunks)
-    return code
+        args = _parser().parse_args(argv)
+        try:
+            code, payload, text = globals()[args.handler](args)
+        except (UncertifiedError, WindowError, FitError) as exc:
+            # an uncertified coefficient, a window too small to certify a
+            # block, or a fit with no exact solution: a result, not misuse
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except UsageError as exc:
+            # a named precondition; any other exception is a bug and raises
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # a JSON report is checked whole before its first piece is written
+        chunks = json_chunks(payload) if args.format == "json" else (text,)
+        if args.output:
+            with open(args.output, "w") as fh:
+                write_chunks(fh, chunks)
+        else:
+            write_chunks(sys.stdout, chunks)
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -238,16 +238,16 @@ def graded_dimension(max_n: int) -> PowerSeries:
     """prod_{n>0} (1 - q^n)^{-1} through q^max_n.
 
     The coefficient of q^n is the number of partitions of n, which is the
-    dimension of the weight-n subspace of the Fock space.
+    dimension of the weight-n subspace of the Fock space.  Counted in ints:
+    a factor (1 - q^part)^{-1} adds to each count the count part below it.
     """
     if max_n < 0:
         raise UsageError("max_n must be >= 0")
-    result = PowerSeries.one(max_n)
-    for n in range(1, max_n + 1):
-        geometric = PowerSeries(
-            {j * n: ONE for j in range(max_n // n + 1)}, max_n)
-        result = result * geometric
-    return result
+    counts = [1] + [0] * max_n
+    for part in range(1, max_n + 1):
+        for k in range(part, max_n + 1):
+            counts[k] += counts[k - part]
+    return PowerSeries(dict(enumerate(counts)), max_n)
 
 
 class ShiftedQSeries(namedtuple("ShiftedQSeries", "shift series")):

@@ -408,10 +408,11 @@ class LocalizedSeries:
         as every ++ pole sum does, B/lambda^k is a polynomial, its own
         expansion under either convention, and of total degree <=
         body.tcap - k, so certified; its cells at d exponent >= dvar_floor
-        are returned.  Else a body cell b times a mu^i cell lands at d
-        exponent b[d] - k - i, so step i <= imax enumerates only the cells
-        with b[d] >= dvar_floor + k + i, weighted by c_d^(imax-i), not
-        divided by c_d^(k+i); each sum is divided by D c_d^(k+imax) once.
+        are returned, by descending d exponent.  Else a body cell b times a
+        mu^i cell lands at d exponent b[d] - k - i, so step i <= imax
+        enumerates only the cells with b[d] >= dvar_floor + k + i, weighted
+        by c_d^(imax-i), not divided by c_d^(k+i); each sum is divided by
+        D c_d^(k+imax) once, in the order the loop first reaches it.
 
         Cells are summed as packed ints: digit j (base B, place B^j) of a
         key is exponent j less its least possible value (the body

@@ -178,6 +178,8 @@ def _x_coef(field: list, e: int, t: FockVector) -> FockVector:
     """Coefficient of x^e in X(s, x)t for an int-valued t, the state s
     given by its ``_weight_field``: the component of weight a contributes
     its mode a - e - 1.  An int-valued vector."""
+    if len(field) == 1:
+        return mode_apply(field[0][1], field[0][0] - e - 1, t)
     acc = {}
     for a, s in field:
         _iaxpy(acc, mode_apply(s, a - e - 1, t).terms, 1)
@@ -516,7 +518,8 @@ def _slice_half_sums(tab: _ProductTables, a0):
         outer = tab.v_uw if swap else tab.u_vw
         acc = {}
         for d, e, c in terms(swap, b2):
-            _iaxpy(acc, outer(b1 + d, e).terms, c)
+            if table := outer(b1 + d, e).terms:
+                _iaxpy(acc, table, c)
         return acc
     return half
 
@@ -564,7 +567,8 @@ def _check_orders(tab: _ProductTables, windows: dict, top: int, den: int,
                             _iaxpy(lhs, other, sign)
                         rhs = {}
                         for i, c in terms:
-                            _iaxpy(rhs, table(i, a0 + a1 + a2).terms, c)
+                            if it := table(i, a0 + a1 + a2).terms:
+                                _iaxpy(rhs, it, c)
                         yield rep, (a0, a1, a2), lhs, rhs
     VerificationReport.add_int_cells(den, "x0^{} x1^{} x2^{}".format, cells())
     return [rep for rep, _, _ in sides]
