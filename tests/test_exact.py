@@ -6,7 +6,9 @@ import pytest
 
 from fockcalc.exact import (SeriesError, ShiftedQSeries, bernoulli, chi_s,
                             graded_dimension, rat_str, zeta_nonpositive)
+from fockcalc import exact
 from fockcalc.exact import _add_into
+from fockcalc.fock import partitions_of
 from series_reference import (PowerSeries, bernoulli_series,
                               check_geometric_bernoulli, exp_x)
 
@@ -209,6 +211,30 @@ def test_graded_dimension_against_partition_oracle():
     ser = graded_dimension(40)
     for n in range(41):
         assert ser.coeff(n) == partition_count_oracle(n)
+
+
+def graded_dimension_by_products(max_n):
+    """prod_{n=1}^{max_n} (1 + q^n + q^2n + ...), one PowerSeries product
+    of Fractions per factor: the construction the int recurrence
+    replaced."""
+    result = exact.PowerSeries.one(max_n)
+    for n in range(1, max_n + 1):
+        result = result * exact.PowerSeries(
+            {j * n: 1 for j in range(max_n // n + 1)}, max_n)
+    return result
+
+
+def test_graded_dimension_matches_the_product_form():
+    for max_n in range(61):
+        got = graded_dimension(max_n)
+        want = graded_dimension_by_products(max_n)
+        assert type(got) is exact.PowerSeries
+        assert got == want and got.order == want.order == max_n
+        assert got.to_pairs() == want.to_pairs()
+        assert all(type(c) is F for c in got.coeffs.values())
+    ser = graded_dimension(15)
+    for n in range(16):
+        assert ser.coeff(n) == len(partitions_of(n))
 
 
 def test_chi_shift_and_series():

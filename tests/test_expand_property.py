@@ -18,7 +18,9 @@ packing's digit bounds are met at both ends.
 Where lambda^k divides the body, ``expand`` returns the quotient found by
 synthetic division instead (``exact._divide_out``).  Bodies built as
 lambda^k Q check that path against Q itself and the three references,
-with a spy on the division to show that it ran.
+with a spy on the division to show that it ran.  The quotient lists its
+cells by descending distinguished exponent, which need not be the loop's
+order, so the loop's order is asserted only where the division failed.
 """
 
 from fractions import Fraction as F
@@ -182,23 +184,6 @@ def localized_series(draw):
     return loc, conv, draw(st.integers(-12, 1))
 
 
-@settings(max_examples=300, deadline=None)
-@given(localized_series())
-def test_expand_matches_generate_then_filter(case):
-    loc, conv, dvar_floor = case
-    got = loc.expand(conv, dvar_floor)
-    want = reference_expand(loc, conv, dvar_floor)
-    assert got.terms == want.terms
-    assert got.terms == fraction_loop_expand(loc, conv, dvar_floor).terms
-    # same cells in the same order as the tuple loop
-    assert list(got.terms.items()) == list(
-        tuple_loop_expand(loc, conv, dvar_floor).terms.items())
-    assert all(type(c) is F for c in got.terms.values())
-    assert got.tcap == want.tcap
-    assert got.neg_floor == want.neg_floor
-    assert got.x_ival == want.x_ival
-
-
 def expand_with_spy(loc, conv, dvar_floor):
     """loc.expand(conv, dvar_floor) and what each division returned."""
     runs = []
@@ -209,6 +194,34 @@ def expand_with_spy(loc, conv, dvar_floor):
 
     with mock.patch.object(series, "_divide_out", spy):
         return loc.expand(conv, dvar_floor), runs
+
+
+def assert_descending_d_order(got, conv):
+    di = got.pos(conv.distinguished)
+    exponents = [cell[di] for cell in got.terms]
+    assert exponents == sorted(exponents, reverse=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(localized_series())
+def test_expand_matches_generate_then_filter(case):
+    loc, conv, dvar_floor = case
+    got, runs = expand_with_spy(loc, conv, dvar_floor)
+    want = reference_expand(loc, conv, dvar_floor)
+    assert got.terms == want.terms
+    assert got.terms == fraction_loop_expand(loc, conv, dvar_floor).terms
+    loop = tuple_loop_expand(loc, conv, dvar_floor)
+    if runs and runs[0] is not None:
+        # the quotient path: the same cells, by descending d exponent
+        assert got.terms == loop.terms
+        assert_descending_d_order(got, conv)
+    else:
+        # same cells in the same order as the tuple loop
+        assert list(got.terms.items()) == list(loop.terms.items())
+    assert all(type(c) is F for c in got.terms.values())
+    assert got.tcap == want.tcap
+    assert got.neg_floor == want.neg_floor
+    assert got.x_ival == want.x_ival
 
 
 def times_linear_form(terms, pole):
@@ -260,10 +273,28 @@ def test_divisible_body_expands_to_its_quotient(case):
                          if sum(cell[:3]) <= tcap and cell[di] >= dvar_floor}
     for ref in (reference_expand, fraction_loop_expand, tuple_loop_expand):
         assert got.terms == ref(loc, conv, dvar_floor).terms, ref.__name__
+    assert_descending_d_order(got, conv)
     assert all(type(c) is F for c in got.terms.values())
     assert got.tcap == tcap
     assert got.neg_floor == {conv.distinguished: dvar_floor}
     assert got.x_ival == {"x": (None, None)}
+
+
+def test_quotient_order_is_not_the_loop_order():
+    # (-y1 - y2)(-y2^2 x + y1 y2 x + 2 y1 y3 / x): the tuple loop reaches
+    # the y2^0 cell of the quotient before its y2^1 cell
+    body = MultiSeries(VARSPECS, {(2, 0, 1, -1): F(-2), (1, 1, 1, -1): F(-2),
+                                  (0, 3, 0, 1): F(1), (2, 1, 0, 1): F(-1)},
+                       {"x": (None, None)}, 4)
+    loc = LocalizedSeries({"y1": -1, "y2": -1, "y3": 0}, 1, body)
+    got, runs = expand_with_spy(loc, NEG_POWERS_Y2, -4)
+    assert runs[0] is not None
+    assert list(got.terms.items()) == [
+        ((0, 2, 0, 1), F(-1)), ((1, 1, 0, 1), F(1)), ((1, 0, 1, -1), F(2))]
+    loop = tuple_loop_expand(loc, NEG_POWERS_Y2, -4)
+    assert loop.terms == got.terms
+    assert list(loop.terms) == [(0, 2, 0, 1), (1, 0, 1, -1), (1, 1, 0, 1)]
+    assert got.terms == reference_expand(loc, NEG_POWERS_Y2, -4).terms
 
 
 @pytest.mark.parametrize("pole,order,terms", [
