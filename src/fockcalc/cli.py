@@ -6,8 +6,10 @@ rational strings.  Identical configuration produces byte-identical JSON.
 
 Exit codes: 0 when every checked cell passes, 1 on any identity
 violation or uncertified cell, 2 on usage errors (``UsageError``: a
-precondition the code names itself).  Any other exception, such as a
-``KeyError`` or a plain ``ValueError``, is a bug and propagates.
+precondition the code names itself), 141 (128 + SIGPIPE) when the reader
+of standard output closes it before the report is written.  Any other
+exception, such as a ``KeyError`` or a plain ``ValueError``, is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import sys
 from fractions import Fraction
 
@@ -383,7 +386,13 @@ def main(argv=None) -> int:
             with open(args.output, "w") as fh:
                 write_chunks(fh, chunks)
         else:
-            write_chunks(sys.stdout, chunks)
+            try:
+                write_chunks(sys.stdout, chunks)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader left: a silent exit flush, and 128 + SIGPIPE
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 141
         return code
     finally:
         if enabled:

@@ -182,18 +182,20 @@ def partitions_of(n: int) -> tuple:
     if n == 0:
         return (VACUUM,)
     out = []
-
-    def rec(remaining, max_part, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(max_part, remaining), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
+    _append_partitions(out, n, n, [])
     return tuple(out)
+
+
+def _append_partitions(out, remaining, max_part, prefix):
+    """Append prefix + each partition of remaining into parts <= max_part
+    to out, in descending lex order (module-level: no closure cycle)."""
+    if remaining == 0:
+        out.append(tuple(prefix))
+        return
+    for p in range(min(max_part, remaining), 0, -1):
+        prefix.append(p)
+        _append_partitions(out, remaining - p, p, prefix)
+        prefix.pop()
 
 
 @functools.lru_cache(maxsize=None)

@@ -559,16 +559,7 @@ def _pair_weights(a: tuple, b: tuple, tcap: int) -> tuple:
     and the int weights den * C_alpha(p, q): sums of products of
     binomials, so exact by construction.
     """
-    free = [i for i, (x, y) in enumerate(zip(a, b)) if x or y]
     out = []
-
-    def alphas(i, budget, prefix):
-        if i == len(a):
-            yield tuple(prefix)
-            return
-        for e in range(budget + 1 if i in free else 1):
-            yield from alphas(i + 1, budget - e, prefix + [e])
-
     def splits(alpha):
         # (p, q, prod_v C(alpha_v, s_v) (-a_v)^{s_v} (-b_v)^{t_v})
         parts = [(0, 0, 1)]
@@ -578,7 +569,11 @@ def _pair_weights(a: tuple, b: tuple, tcap: int) -> tuple:
                      for p, q, w in parts for s in range(e + 1)]
         return parts
 
-    for alpha in alphas(0, tcap, []):
+    # the exponents of total degree <= tcap, 0 where a_v = b_v = 0
+    for alpha in itertools.product(*(range(tcap + 1 if x or y else 1)
+                                     for x, y in zip(a, b))):
+        if sum(alpha) > tcap:
+            continue
         weights = {}
         for p, q, w in splits(alpha):
             if w:

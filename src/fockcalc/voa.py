@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from types import MappingProxyType
 
 from .exact import PowerSeries
@@ -541,7 +541,8 @@ def _check_orders(tab: _ProductTables, windows: dict, top: int, den: int,
     list terms(a0, a1), the order's iterate term.  Both sides are int
     term maps on the scale den, for one ``add_int_cells`` call over both
     orders.  Cells with top + a0 + a1 + a2 + 1 < 0 vanish by weight and
-    count as bulk passes without being summed.
+    count as bulk passes without being summed; a cell whose two sums are
+    empty counts as one where it is found, as ``add_int_cells`` would.
     """
     (lo0, hi0), (lo1, hi1), (lo2, hi2) = (windows[x] for x in ("x0", "x1",
                                                                 "x2"))
@@ -569,7 +570,10 @@ def _check_orders(tab: _ProductTables, windows: dict, top: int, den: int,
                         for i, c in terms:
                             if it := table(i, a0 + a1 + a2).terms:
                                 _iaxpy(rhs, it, c)
-                        yield rep, (a0, a1, a2), lhs, rhs
+                        if lhs or rhs:
+                            yield rep, (a0, a1, a2), lhs, rhs
+                        else:
+                            rep.bulk_passed += 1
     VerificationReport.add_int_cells(den, "x0^{} x1^{} x2^{}".format, cells())
     return [rep for rep, _, _ in sides]
 
@@ -694,16 +698,36 @@ def _dilated_rhs(g_by_q: dict, q_min: int, den: int, w: FockVector):
     change-of-variables states g_q, for the int-valued w, as
     ``_check_orders`` sums it.  table(q, e) is the coefficient of
     x^(e + 1) in X(den g_q, x)w, an int-valued vector filled the first
-    time a cell asks, each g_q put on the scale den then; terms(a0, a1)
-    lists the (a0 - k, C(a0 + a1, k) (-1)^k) with g_(a0 - k) nonzero."""
-    field = functools.cache(lambda q: _weight_field(g_by_q[q], den))
+    time a cell asks; terms(a0, a1) lists the (a0 - k, C(a0 + a1, k)
+    (-1)^k) with g_(a0 - k) nonzero.  A weight-a component of den g_q is
+    k p, p primitive (gcd 1, first coefficient in sorted order positive);
+    each distinct (a, p) is interned as a small int i, whose table
+    mode_apply(p, a - e - 2, w) is filled once per (i, e) and shared."""
+    ids, prims, parts = {}, [], {}
+    for q in g_by_q:
+        parts[q] = []
+        for a, comp in _weight_field(g_by_q[q], den):
+            items = sorted(comp.terms.items())
+            k = gcd(*comp.terms.values()) * (1 if items[0][1] > 0 else -1)
+            p = tuple((mon, c // k) for mon, c in items)
+            if (i := ids.setdefault((a, p), len(prims))) == len(prims):
+                prims.append((a, FockVector(dict(p))))
+            parts[q].append((i, k))
+    shared = functools.cache(
+        lambda i, e: mode_apply(prims[i][1], prims[i][0] - e - 2, w))
+
+    def table(q, e):
+        acc = {}
+        for i, k in parts[q]:
+            _iaxpy(acc, shared(i, e).terms, k)
+        return FockVector(_nonzero(acc))
 
     def terms(a0, a1):
         n = a0 + a1
         kmax = a0 - q_min if n < 0 else min(a0 - q_min, n)
         return [(a0 - k, c) for k in range(kmax + 1)
                 if (c := comb_int(n, k) * (-1) ** k) and a0 - k in g_by_q]
-    return terms, functools.cache(lambda q, e: _x_coef(field(q), e + 1, w))
+    return terms, functools.cache(table)
 
 
 def _dilated_rhs_cell(g_by_q: dict, q_min: int, w, a0, a1, a2) -> FockVector:

@@ -1,10 +1,12 @@
 """Tests for the command-line driver: exit codes, determinism, schema."""
 
+import gc
 import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -314,3 +316,38 @@ def test_weak_comm_box_with_a_nonzero_cell_keeps_its_bytes(capsys, args, sha):
     assert code == 0
     assert json.loads(out)["data"] == {"order_found": 2}
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_reader_that_closes_early_gets_exit_141_and_no_traceback():
+    # the report is about 108 kB, more than a pipe holds, so the writer
+    # is still writing when the reader goes
+    proc = subprocess.Popen(
+        CMD + ["--format", "json", "verify-axioms", "--weight", "3",
+               "--mode-window", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+    assert head.startswith(b"{")
+
+
+def test_broken_pipe_leaves_the_collector_on(tmp_path):
+    class Closed:
+        """A standard output whose reader has gone, on a file's fd."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fh.fileno()
+
+    with open(tmp_path / "stdout", "w") as fh, \
+            mock.patch.object(sys, "stdout", Closed(fh)):
+        assert cli.main(["--format", "json", "zeta", "--max", "2"]) == 141
+    assert gc.isenabled()

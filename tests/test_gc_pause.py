@@ -10,14 +10,26 @@ first) the collector saves what it finds, and none of it may be a
 function defined in ``fockcalc`` or an instance of a ``fockcalc`` class.
 The cycles of the json encoder's closures are the stdlib's and allowed.
 
+The first run of each subcommand is checked too, in a fresh interpreter
+so that every cache of the package starts empty, at the smallest scale
+and at scale 1 for every size (the first scale that enumerates a
+nonempty partition): an uncached helper that refers to itself through
+its closure would leave a cycle there that the second run cannot see.
+
 The collector must come back on after every way out of ``main``, and a
 collector the host switched off must stay off.
 """
 
 import contextlib
 import gc
+import inspect
 import io
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -35,13 +47,13 @@ def _collector_on_after_each_test():
     gc.enable()
 
 
-def _smallest_argv(name):
+def _smallest_argv(name, size=0):
     required, sizes, _ = DECLARED[name]
     argv = ["--format", "json", name]
     for option, value in required.items():
         argv += [option, str(value)]
     for option in sizes:
-        argv += [option, "0"]
+        argv += [option, str(size)]
     return argv
 
 
@@ -74,6 +86,37 @@ def test_a_command_leaves_no_cycle_of_its_own(name):
         gc.set_debug(0)
         gc.garbage.clear()
     assert not found, [repr(obj)[:80] for obj in found]
+
+
+# one cold command under DEBUG_SAVEALL; prints the reprs of the
+# fockcalc functions and objects the collector found unreachable
+_FIRST_RUN = """
+import contextlib, gc, io, json, sys, types
+from fockcalc import cli
+""" + inspect.getsource(_from_fockcalc) + """
+gc.collect()
+gc.set_debug(gc.DEBUG_SAVEALL)
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+gc.collect()
+print(json.dumps([repr(o)[:80] for o in gc.garbage if _from_fockcalc(o)]))
+"""
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("size", [0, 1])
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_a_first_command_leaves_no_cycle_of_its_own(name, size):
+    out = subprocess.run(
+        [sys.executable, "-c", _FIRST_RUN, *_smallest_argv(name, size)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert json.loads(out.stdout) == []
 
 
 @pytest.mark.parametrize("argv,code", [
