@@ -560,6 +560,7 @@ def _pair_weights(a: tuple, b: tuple, tcap: int) -> tuple:
     binomials, so exact by construction.
     """
     out = []
+
     def splits(alpha):
         # (p, q, prod_v C(alpha_v, s_v) (-a_v)^{s_v} (-b_v)^{t_v})
         parts = [(0, 0, 1)]

@@ -329,7 +329,7 @@ def test_reader_that_closes_early_gets_exit_141_and_no_traceback():
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait() == 141
+    assert proc.wait(timeout=60) == 141
     assert err == b""
     assert head.startswith(b"{")
 
