@@ -7,7 +7,8 @@ rational strings.  Identical configuration produces byte-identical JSON.
 Exit codes: 0 when every checked cell passes, 1 on any identity
 violation or uncertified cell, 2 on usage errors (``UsageError``: a
 precondition the code names itself), 141 (128 + SIGPIPE) when the reader
-of standard output closes it before the report is written.  Any other
+of the report, on standard output or on an ``--output`` pipe, closes it
+before the report is written.  Any other
 exception, such as a ``KeyError`` or a plain ``ValueError``, is a bug and
 propagates.
 """
@@ -382,17 +383,18 @@ def main(argv=None) -> int:
             return 2
         # a JSON report is checked whole before its first piece is written
         chunks = json_chunks(payload) if args.format == "json" else (text,)
-        if args.output:
-            with open(args.output, "w") as fh:
-                write_chunks(fh, chunks)
-        else:
-            try:
+        try:
+            if args.output:
+                with open(args.output, "w") as fh:
+                    write_chunks(fh, chunks)
+            else:
                 write_chunks(sys.stdout, chunks)
                 sys.stdout.flush()
-            except BrokenPipeError:
-                # the reader left: a silent exit flush, and 128 + SIGPIPE
+        except BrokenPipeError:
+            # the reader left: 128 + SIGPIPE, and a silent exit flush
+            if not args.output:
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                return 141
+            return 141
         return code
     finally:
         if enabled:

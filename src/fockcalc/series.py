@@ -12,19 +12,20 @@ Two kinds of variables coexist:
 
 Arithmetic propagates certified regions conservatively and raises
 ``UncertifiedError`` rather than ever emitting an unknown coefficient as
-if it were exact.  Geometric-series poles in a linear form of the trunc
-variables stay symbolic in ``LocalizedSeries`` and are expanded as late
-as possible under an explicit ``ExpansionConvention``; only expansion
-introduces negative trunc exponents, recorded per series in
+if it were exact.  The ++ pole sums, over a linear form of the trunc
+variables, stay symbolic in ``LocalizedSeries`` and are expanded under
+an explicit ``ExpansionConvention`` by exact division (a remainder
+raises); the ++ pair's scalar has a closed form.  Only these expansions
+introduce negative trunc exponents, recorded per series in
 ``neg_floor`` (below the floor the value is uncertified, not zero).
 
 On this core the module builds the colon- and ++-ordered generating
 products of oscillator pairs, the contraction identity check, and the
 verifier for the generating-function commutator identity of the
 zeta-regularized quadratic family.  That verifier sums its delta
-products and exponentials in closed form, so the formal delta function
-and the translation and dilation exponentials as series live in the
-tests, as references.
+products and exponentials in closed form, so the formal delta function,
+the translation and dilation exponentials as series and the binomial
+pole expansion live in the tests, as references.
 """
 
 from __future__ import annotations
@@ -204,45 +205,6 @@ class MultiSeries:
             _add_into(out.terms, cell, c)
         return out._prune()
 
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, a) -> "MultiSeries":
-        a = Fraction(a)
-        terms = {cell: c * a for cell, c in self.terms.items()} if a else {}
-        return MultiSeries(self.varspecs, terms, self.x_ival, self.tcap,
-                           self.neg_floor)
-
-    def scale_vector(self, v: FockVector) -> "MultiSeries":
-        """Tensor a scalar series with a fixed vector."""
-        terms = {}
-        for cell, c in self.terms.items():
-            vec = v.scale(c)
-            if vec:
-                terms[cell] = vec
-        return MultiSeries(self.varspecs, terms, self.x_ival, self.tcap,
-                           self.neg_floor)
-
-    def diff(self, name: str) -> "MultiSeries":
-        """Partial derivative in one variable."""
-        i = self._pos[name]
-        spec = self.varspecs[i]
-        # lowering one exponent is injective, so no two terms collide
-        out_terms = {cell[:i] + (cell[i] - 1,) + cell[i + 1:]: c * cell[i]
-                     for cell, c in self.terms.items() if cell[i]}
-        ival = dict(self.x_ival)
-        tcap = self.tcap
-        floor = dict(self.neg_floor)
-        if spec.kind == "window":
-            lo, hi = ival[name]
-            ival[name] = (None if lo is None else lo - 1,
-                          None if hi is None else hi - 1)
-        else:
-            tcap = None if tcap is None else tcap - 1
-            if name in floor:
-                floor[name] -= 1
-        return MultiSeries(self.varspecs, out_terms, ival, tcap, floor)._prune()
-
     # -- multiplication ---------------------------------------------------------
 
     def _supp(self, name):
@@ -375,51 +337,18 @@ class LocalizedSeries:
         self.order = order
         self.body = body
 
-    def _pole_times(self, s: MultiSeries) -> MultiSeries:
-        """Multiply an ordinary series by the linear form lambda."""
-        out = MultiSeries(s.varspecs, {}, s.x_ival,
-                          None if s.tcap is None else s.tcap + 1)
-        for name, c in self.pole.items():
-            i = s.pos(name)
-            for cell, val in s.terms.items():
-                new = cell[:i] + (cell[i] + 1,) + cell[i + 1:]
-                _add_into(out.terms, new, val * c)
-        return out
-
-    def dy(self, name: str) -> "LocalizedSeries":
-        """d/dname of body/lambda^order, folded to pole order + 1."""
-        c = self.pole.get(name, 0)
-        part = self._pole_times(self.body.diff(name))
-        if c:
-            part = part.add(self.body.scale(-self.order * c))
-        return LocalizedSeries(self.pole, self.order + 1, part)
-
     def expand(self, conv: ExpansionConvention, dvar_floor: int) -> MultiSeries:
-        """Binomial expansion with negative powers confined to the
-        distinguished variable.
-
-        lambda^{-k} = sum_{i>=0} C(-k,i) (c_d y_d)^{-k-i} mu^i where
-        mu = lambda - c_d y_d.  Certified for cells with distinguished
-        exponent >= dvar_floor and total degree <= body.tcap - k.
+        """The expansion of a body that lambda^k divides, certified for
+        cells with distinguished exponent >= dvar_floor and total degree
+        <= body.tcap - k.
 
         The body must be scalar; only its cells B of total degree <=
         body.tcap are read, as ints over the lcm D of their denominators.
-        If lambda^k divides B (``_divide_out``: checked, never assumed),
+        Where lambda^k divides B (``_divide_out``: checked, never assumed),
         as every ++ pole sum does, B/lambda^k is a polynomial, its own
         expansion under either convention, and of total degree <=
         body.tcap - k, so certified; its cells at d exponent >= dvar_floor
-        are returned, by descending d exponent.  Else a body cell b times a
-        mu^i cell lands at d exponent b[d] - k - i, so step i <= imax
-        enumerates only the cells with b[d] >= dvar_floor + k + i, weighted
-        by c_d^(imax-i), not divided by c_d^(k+i); each sum is divided by
-        D c_d^(k+imax) once, in the order the loop first reaches it.
-
-        Cells are summed as packed ints: digit j (base B, place B^j) of a
-        key is exponent j less its least possible value (the body
-        minimum, less k + imax at d).  B is the widest exponent range
-        plus 1, a mu position's widened by imax, so no digit carries: a
-        product is a key sum, y_d^{-k-i} one subtraction and a mu step
-        one addition of B^j.  Only nonzero sums are unpacked.
+        are returned, by descending d exponent.  A remainder raises.
         """
         dvar = conv.distinguished
         c_d = self.pole.get(dvar, 0)
@@ -445,101 +374,18 @@ class LocalizedSeries:
         den = lcm(*(val.denominator for _, val in cells))
         cells = sorted(((b, val.numerator * (den // val.denominator))
                         for b, val in cells), key=lambda item: -item[0][di])
-        if (quot := _divide_out(cells, di, c_d, mu, k)) is not None:
-            out.terms = {b: Fraction(x, den) for b, x in quot.items()
-                         if b[di] >= dvar_floor}
-            return out
-        imax = min(max(body.tcap - k - dvar_floor, 0),
-                   cells[0][0][di] - dvar_floor - k)
-        if not mu:
-            imax = min(imax, 0)
-        if imax < 0:
-            return out
-        cols = list(zip(*(b for b, _ in cells)))
-        lo = [min(col) for col in cols]
-        lo[di] -= k + imax
-        hi = [max(col) + (imax if j in mu else 0)
-              for j, col in enumerate(cols)]
-        hi[di] -= k
-        base = max(h - low for h, low in zip(hi, lo)) + 1
-        place = [base ** j for j in range(len(cols))]
-        cells = [(b[di], sum((e - low) * p for e, low, p in zip(b, lo, place)),
-                  val) for b, val in cells]
-        acc = {}
-        get = acc.get
-        mu_power = {0: 1}
-        for i in range(imax + 1):
-            while cells[-1][0] < dvar_floor + k + i:
-                cells.pop()
-            w_i = comb_int(-k, i) * c_d ** (imax - i)
-            shift = (k + i) * place[di]
-            for mkey, mval in mu_power.items():
-                off, cm = mkey - shift, w_i * mval
-                for _, bkey, bval in cells:
-                    key = bkey + off
-                    acc[key] = get(key, 0) + bval * cm
-            nxt = {}
-            for mkey, mval in mu_power.items():
-                for j, c in mu.items():
-                    _add_into(nxt, mkey + place[j], mval * c)
-            mu_power = nxt
-        scale = den * c_d ** (k + imax)
-        out.terms = terms = {}
-        for key, x in acc.items():
-            if x:
-                cell = []
-                for low in lo:
-                    key, e = divmod(key, base)
-                    cell.append(e + low)
-                terms[tuple(cell)] = Fraction(x, scale)
+        if (quot := _divide_out(cells, di, c_d, mu, k)) is None:
+            raise ValueError(f"the pole to the power {k} does not divide "
+                             "the body")
+        out.terms = {b: Fraction(x, den) for b, x in quot.items()
+                     if b[di] >= dvar_floor}
         return out
-
-
-def _poly_in_form(varspecs, form: dict, coeffs, tcap: int) -> MultiSeries:
-    """sum_k coeffs[k] * (linear form)^k as an ordinary series."""
-    complete = {v.name: (None, None) for v in varspecs if v.kind == "window"}
-    out = MultiSeries(varspecs, {}, complete, tcap)
-    pos = {v.name: i for i, v in enumerate(varspecs)}
-    power = {(0,) * len(varspecs): Fraction(1)}
-    for k in range(tcap + 1):
-        if k:
-            nxt = {}
-            for cell, val in power.items():
-                for name, c in form.items():
-                    j = pos[name]
-                    new = cell[:j] + (cell[j] + 1,) + cell[j + 1:]
-                    _add_into(nxt, new, val * c)
-            power = nxt
-            if not power:
-                break
-        ck = coeffs[k] if k < len(coeffs) else ZERO
-        if not ck:
-            continue
-        for cell, val in power.items():
-            _add_into(out.terms, cell, ck * val)
-    return out
 
 
 def _geometric_pole_coeffs(order: int):
     """Coefficients of G(u) = u/(1 - e^{-u}) = sum_k B_k (-u)^k / k!."""
     return [bernoulli(k) * (-1) ** k / Fraction(factorial(k))
             for k in range(order + 1)]
-
-
-def one_minus_exp_inverse(y1: str, y2: str, order: int,
-                          varspecs=None) -> LocalizedSeries:
-    """1/(1 - e^{-y1+y2}) as (y1-y2)^{-1} F(y1, y2).
-
-    F is the entire body G(y1-y2) with G(u) = u/(1-e^{-u}); its diagonal
-    profile carries the Bernoulli data.
-    """
-    if order < 1:
-        raise UsageError("order must be >= 1")
-    if varspecs is None:
-        varspecs = (trunc_var(y1, order), trunc_var(y2, order))
-    body = _poly_in_form(varspecs, {y1: 1, y2: -1},
-                         _geometric_pole_coeffs(order), order)
-    return LocalizedSeries({y1: 1, y2: -1}, 1, body)
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +501,38 @@ def normal_ordered_pair(y1: str, y2: str, xname: str, v: FockVector,
 def plusplus_pair(y1: str, y2: str, xname: str, v: FockVector, window: tuple,
                   order: int,
                   conv: ExpansionConvention = NEG_POWERS_Y1) -> MultiSeries:
-    """++h(e^{y1} x) h(e^{y2} x)++ v: the colon product minus the expanded
-    scalar correction d/dy1 [1/(1 - e^{-y1+y2})] acting as identity."""
-    if conv.distinguished not in (y1, y2):
+    """++h(e^{y1} x) h(e^{y2} x)++ v: the colon product minus S v on the
+    x^0 cells, S = d/dy1 [1/(1 - e^{-u})] with u = y1 - y2.
+
+    With u/(1 - e^{-u}) = sum_k g_k u^k (``_geometric_pole_coeffs``), S =
+    sum_k h_k u^{k-2}, h_k = (k - 1) g_k.  The one pole term, h_0 = -1,
+    is -u^{-2} = -sum_m (m + 1) y_o^m y_d^{-m-2} with negative powers in
+    the distinguished slot y_d; the terms k >= 2 are expanded
+    binomially.  Listed: total degree <= order, y_d exponent >=
+    -(2 + order), so m <= order and k <= order + 2.
+    """
+    dvar = conv.distinguished
+    if dvar not in (y1, y2):
         raise UsageError("convention must distinguish one of the pair slots")
-    colon = normal_ordered_pair(y1, y2, xname, v, window, order)
-    pole = one_minus_exp_inverse(y1, y2, order + 2, colon.varspecs).dy(y1)
-    correction = pole.expand(conv, -(2 + order)).scale_vector(v)
-    return colon.sub(correction)
+    out = normal_ordered_pair(y1, y2, xname, v, window, order)
+    out.neg_floor = {dvar: -(2 + order)}
+    if not v or not window[0] <= 0 <= window[1]:
+        return out
+    scalar = {}
+    for m in range(order + 1):
+        cell = [m, m, 0]
+        cell[0 if dvar == y1 else 1] = -m - 2
+        scalar[tuple(cell)] = -(m + 1)
+    for k, g in enumerate(_geometric_pole_coeffs(order + 2)):
+        if k >= 2 and g:
+            # (y1 - y2)^p = sum_i C(p, i) y1^i (-y2)^(p-i)
+            p = k - 2
+            for i in range(p + 1):
+                scalar[i, p - i, 0] = ((k - 1) * g * comb_int(p, i)
+                                       * (-1) ** (p - i))
+    for cell, c in scalar.items():
+        _add_into(out.terms, cell, v.scale(-c))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,18 @@ blocks of oracles:
   ``delta_series``: elementary ``MultiSeries``;
 * ``apply_taylor`` and ``apply_dilation``: the formal translation and
   dilation exponentials f(x) -> f(x + y) and f(x) -> f(e^y x);
-* ``localized_scale``, ``localized_mul_series`` and ``localized_add``:
-  the ``LocalizedSeries`` operations no command needs;
+* ``series_sub``, ``series_scale``, ``series_scale_vector`` and
+  ``series_diff``: the ``MultiSeries`` operations no command needs;
+* ``localized_scale``, ``localized_mul_series``, ``localized_add``,
+  ``pole_times`` and ``localized_dy``: the ``LocalizedSeries``
+  operations no command needs;
+* ``reference_expand`` and ``tuple_loop_expand``: the binomial expansion
+  of a pole series, generated then filtered, and as the int loop that
+  ``LocalizedSeries.expand`` ran before it kept only exact division;
+  ``expand_with_spy`` and ``expand_or_raise`` hold ``expand`` to them;
+* ``one_minus_exp_inverse`` and ``plusplus_pair_by_expansion``: the
+  pole-calculus route to the ++ pair, the oracle of the closed form in
+  ``fockcalc.series.plusplus_pair``;
 * ``exp_cells_by_recursion``, ``derivative_pole`` and
   ``plusplus_pieces``: the Fraction route to the ++ pole sums of the
   generating-function identity, the oracle of the packed-int
@@ -26,15 +36,17 @@ blocks of oracles:
 from fractions import Fraction
 from math import factorial, lcm
 from types import MappingProxyType
+from unittest import mock
 
-from fockcalc import exact
+from fockcalc import exact, series
 from fockcalc.exact import (ONE, ZERO, SeriesError, UsageError, _add_into,
-                            bernoulli, rat_str)
+                            _divide_out, bernoulli, rat_str)
+from fockcalc.fock import FockVector
 from fockcalc.report import VerificationReport
-from fockcalc.series import (_RHS_TERMS, _YS, LocalizedSeries, MultiSeries,
-                             _exact_div, _exp_cells, _genfun_space,
-                             _geometric_pole_coeffs, _min_none, _poly_in_form,
-                             _ys, comb_int)
+from fockcalc.series import (_RHS_TERMS, _YS, NEG_POWERS_Y1, LocalizedSeries,
+                             MultiSeries, _exact_div, _exp_cells,
+                             _genfun_space, _geometric_pole_coeffs, _min_none,
+                             _ys, comb_int, normal_ordered_pair, trunc_var)
 
 
 class PowerSeries(exact.PowerSeries):
@@ -253,6 +265,47 @@ def delta_series(varspecs, ratio: dict, window: tuple) -> MultiSeries:
     return MultiSeries(varspecs, terms, ival)
 
 
+def series_scale(s: MultiSeries, a) -> MultiSeries:
+    a = Fraction(a)
+    terms = {cell: c * a for cell, c in s.terms.items()} if a else {}
+    return MultiSeries(s.varspecs, terms, s.x_ival, s.tcap, s.neg_floor)
+
+
+def series_sub(a: MultiSeries, b: MultiSeries) -> MultiSeries:
+    return a.add(series_scale(b, -1))
+
+
+def series_scale_vector(s: MultiSeries, v: FockVector) -> MultiSeries:
+    """Tensor a scalar series with a fixed vector."""
+    terms = {}
+    for cell, c in s.terms.items():
+        vec = v.scale(c)
+        if vec:
+            terms[cell] = vec
+    return MultiSeries(s.varspecs, terms, s.x_ival, s.tcap, s.neg_floor)
+
+
+def series_diff(s: MultiSeries, name: str) -> MultiSeries:
+    """Partial derivative in one variable."""
+    i = s.pos(name)
+    spec = s.varspecs[i]
+    # lowering one exponent is injective, so no two terms collide
+    out_terms = {cell[:i] + (cell[i] - 1,) + cell[i + 1:]: c * cell[i]
+                 for cell, c in s.terms.items() if cell[i]}
+    ival = dict(s.x_ival)
+    tcap = s.tcap
+    floor = dict(s.neg_floor)
+    if spec.kind == "window":
+        lo, hi = ival[name]
+        ival[name] = (None if lo is None else lo - 1,
+                      None if hi is None else hi - 1)
+    else:
+        tcap = None if tcap is None else tcap - 1
+        if name in floor:
+            floor[name] -= 1
+    return MultiSeries(s.varspecs, out_terms, ival, tcap, floor)._prune()
+
+
 # ---------------------------------------------------------------------------
 # Formal translation and dilation
 # ---------------------------------------------------------------------------
@@ -325,7 +378,7 @@ def apply_dilation(yname: str, f: MultiSeries, xname: str,
 # ---------------------------------------------------------------------------
 
 def localized_scale(loc: LocalizedSeries, a) -> LocalizedSeries:
-    return LocalizedSeries(loc.pole, loc.order, loc.body.scale(a))
+    return LocalizedSeries(loc.pole, loc.order, series_scale(loc.body, a))
 
 
 def localized_mul_series(loc: LocalizedSeries, s: MultiSeries):
@@ -340,14 +393,218 @@ def localized_add(a: LocalizedSeries, b: LocalizedSeries) -> LocalizedSeries:
         if b.pole != {n: -c for n, c in a.pole.items()}:
             raise UsageError(
                 "cannot add localized series with different poles")
-        body_b = body_b.scale((-1) ** b.order)
+        body_b = series_scale(body_b, (-1) ** b.order)
     k = max(a.order, b.order)
     body_a = a.body
     for _ in range(k - a.order):
-        body_a = a._pole_times(body_a)
+        body_a = pole_times(a, body_a)
     for _ in range(k - b.order):
-        body_b = a._pole_times(body_b)
+        body_b = pole_times(a, body_b)
     return LocalizedSeries(a.pole, k, body_a.add(body_b))
+
+
+def pole_times(loc: LocalizedSeries, s: MultiSeries) -> MultiSeries:
+    """Multiply an ordinary series by the linear form lambda of loc."""
+    out = MultiSeries(s.varspecs, {}, s.x_ival,
+                      None if s.tcap is None else s.tcap + 1)
+    for name, c in loc.pole.items():
+        i = s.pos(name)
+        for cell, val in s.terms.items():
+            new = cell[:i] + (cell[i] + 1,) + cell[i + 1:]
+            _add_into(out.terms, new, val * c)
+    return out
+
+
+def localized_dy(loc: LocalizedSeries, name: str) -> LocalizedSeries:
+    """d/dname of body/lambda^order, folded to pole order + 1."""
+    c = loc.pole.get(name, 0)
+    part = pole_times(loc, series_diff(loc.body, name))
+    if c:
+        part = part.add(series_scale(loc.body, -loc.order * c))
+    return LocalizedSeries(loc.pole, loc.order + 1, part)
+
+
+# ---------------------------------------------------------------------------
+# The binomial expansion of a pole series
+# ---------------------------------------------------------------------------
+
+def reference_expand(loc, conv, dvar_floor):
+    """lambda^{-k} = sum_i C(-k,i) (c_d y_d)^{-k-i} mu^i, mu = lambda -
+    c_d y_d, read directly: every product of a body cell with a mu^i
+    cell for i up to the certification bound, and only then the cells
+    outside the certified region discarded."""
+    dvar = conv.distinguished
+    c_d = loc.pole[dvar]
+    body, k = loc.body, loc.order
+    tcap = body.tcap - k
+    di = body.pos(dvar)
+    mu = {n: c for n, c in loc.pole.items() if n != dvar}
+    complete = {n: (None, None) for n in body.window_names()}
+    out = MultiSeries(body.varspecs, {}, complete, tcap, {dvar: dvar_floor})
+    terms = {}
+    mu_power = {(0,) * len(body.varspecs): Fraction(1)}
+    for i in range(max(body.tcap - k - dvar_floor, 0) + 1):
+        c_i = Fraction(comb_int(-k, i), c_d ** (k + i))
+        for mcell, mval in mu_power.items():
+            for bcell, bval in body.terms.items():
+                cell = [x + y for x, y in zip(mcell, bcell)]
+                cell[di] -= k + i
+                cell = tuple(cell)
+                if cell[di] < dvar_floor or out.tdeg(cell) > tcap:
+                    continue
+                terms[cell] = terms.get(cell, 0) + bval * c_i * mval
+        nxt = {}
+        for mcell, mval in mu_power.items():
+            for name, c in mu.items():
+                j = body.pos(name)
+                new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
+                nxt[new] = nxt.get(new, 0) + mval * c
+        mu_power = {c: v for c, v in nxt.items() if v}
+    out.terms = {c: v for c, v in terms.items() if v}
+    return out
+
+
+def tuple_loop_expand(loc, conv, dvar_floor):
+    """The binomial expansion as an int loop over exponent tuples: body
+    cells of total degree <= tcap as ints over the lcm D of their
+    denominators; step i reads only the cells with d exponent >=
+    dvar_floor + k + i, weighted by c_d^(imax-i), and each sum is
+    divided by D c_d^(k+imax) once."""
+    dvar = conv.distinguished
+    c_d = loc.pole[dvar]
+    body, k = loc.body, loc.order
+    di = body.pos(dvar)
+    mu = {body.pos(n): c for n, c in loc.pole.items() if n != dvar}
+    complete = {n: (None, None) for n in body.window_names()}
+    out = MultiSeries(body.varspecs, {}, complete, body.tcap - k,
+                      {dvar: dvar_floor})
+    cells = [(b, val) for b, val in body.terms.items()
+             if body.tdeg(b) <= body.tcap]
+    if not cells:
+        return out
+    den = lcm(*(val.denominator for _, val in cells))
+    cells = sorted(((b, val.numerator * (den // val.denominator))
+                    for b, val in cells), key=lambda item: -item[0][di])
+    imax = min(max(body.tcap - k - dvar_floor, 0),
+               cells[0][0][di] - dvar_floor - k)
+    if not mu:
+        imax = min(imax, 0)
+    if imax < 0:
+        return out
+    acc = {}
+    mu_power = {(0,) * len(body.varspecs): 1}
+    for i in range(imax + 1):
+        while cells[-1][0][di] < dvar_floor + k + i:
+            cells.pop()
+        w_i = comb_int(-k, i) * c_d ** (imax - i)
+        for mcell, mval in mu_power.items():
+            cm = w_i * mval
+            for bcell, bval in cells:
+                cell = [x + y for x, y in zip(mcell, bcell)]
+                cell[di] -= k + i
+                cell = tuple(cell)
+                acc[cell] = acc.get(cell, 0) + bval * cm
+        nxt = {}
+        for mcell, mval in mu_power.items():
+            for j, c in mu.items():
+                new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
+                _add_into(nxt, new, mval * c)
+        mu_power = nxt
+    scale = den * c_d ** (k + imax)
+    out.terms = {cell: Fraction(x, scale) for cell, x in acc.items() if x}
+    return out
+
+
+def expand_with_spy(loc, conv, dvar_floor):
+    """loc.expand(conv, dvar_floor) and what each division returned; None
+    in place of the series where the division left a remainder and
+    ``expand`` raised its plain ``ValueError``."""
+    runs = []
+
+    def spy(*args):
+        runs.append(quot := _divide_out(*args))
+        return quot
+
+    with mock.patch.object(series, "_divide_out", spy):
+        try:
+            return loc.expand(conv, dvar_floor), runs
+        except UsageError:
+            raise
+        except ValueError:
+            if runs[-1:] != [None]:
+                raise
+            return None, runs
+
+
+def expand_or_raise(loc, conv, dvar_floor):
+    """``tuple_loop_expand``, after checking that ``expand`` returns the
+    same cells where lambda^k divides the body and raises where it
+    leaves a remainder."""
+    got, runs = expand_with_spy(loc, conv, dvar_floor)
+    want = tuple_loop_expand(loc, conv, dvar_floor)
+    if (got is None) != (runs[-1:] == [None]):
+        raise AssertionError(f"expand gave {got} after divisions {runs}")
+    if got is not None and got.terms != want.terms:
+        raise AssertionError(f"expand gave {got.terms}, not {want.terms}")
+    return want
+
+
+# ---------------------------------------------------------------------------
+# The ++ pair by the pole calculus
+# ---------------------------------------------------------------------------
+
+def _poly_in_form(varspecs, form: dict, coeffs, tcap: int) -> MultiSeries:
+    """sum_k coeffs[k] * (linear form)^k as an ordinary series."""
+    complete = {v.name: (None, None) for v in varspecs if v.kind == "window"}
+    out = MultiSeries(varspecs, {}, complete, tcap)
+    pos = {v.name: i for i, v in enumerate(varspecs)}
+    power = {(0,) * len(varspecs): Fraction(1)}
+    for k in range(tcap + 1):
+        if k:
+            nxt = {}
+            for cell, val in power.items():
+                for name, c in form.items():
+                    j = pos[name]
+                    new = cell[:j] + (cell[j] + 1,) + cell[j + 1:]
+                    _add_into(nxt, new, val * c)
+            power = nxt
+            if not power:
+                break
+        ck = coeffs[k] if k < len(coeffs) else ZERO
+        if not ck:
+            continue
+        for cell, val in power.items():
+            _add_into(out.terms, cell, ck * val)
+    return out
+
+
+def one_minus_exp_inverse(y1: str, y2: str, order: int,
+                          varspecs=None) -> LocalizedSeries:
+    """1/(1 - e^{-y1+y2}) as (y1-y2)^{-1} F(y1, y2).
+
+    F is the entire body G(y1-y2) with G(u) = u/(1-e^{-u}); its diagonal
+    profile carries the Bernoulli data.
+    """
+    if order < 1:
+        raise UsageError("order must be >= 1")
+    if varspecs is None:
+        varspecs = (trunc_var(y1, order), trunc_var(y2, order))
+    body = _poly_in_form(varspecs, {y1: 1, y2: -1},
+                         _geometric_pole_coeffs(order), order)
+    return LocalizedSeries({y1: 1, y2: -1}, 1, body)
+
+
+def plusplus_pair_by_expansion(y1, y2, xname, v, window, order,
+                               conv=NEG_POWERS_Y1):
+    """``fockcalc.series.plusplus_pair`` as the colon product minus the
+    binomial expansion of d/dy1 [1/(1 - e^{-y1+y2})] acting as identity."""
+    if conv.distinguished not in (y1, y2):
+        raise UsageError("convention must distinguish one of the pair slots")
+    colon = normal_ordered_pair(y1, y2, xname, v, window, order)
+    pole = localized_dy(
+        one_minus_exp_inverse(y1, y2, order + 2, colon.varspecs), y1)
+    correction = tuple_loop_expand(pole, conv, -(2 + order))
+    return series_sub(colon, series_scale_vector(correction, v))
 
 
 # ---------------------------------------------------------------------------

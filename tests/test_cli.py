@@ -334,6 +334,21 @@ def test_reader_that_closes_early_gets_exit_141_and_no_traceback():
     assert head.startswith(b"{")
 
 
+def test_output_pipe_that_closes_early_gets_exit_141_and_no_traceback():
+    # the same report through --output, opened on the stdout pipe
+    proc = subprocess.Popen(
+        CMD + ["--format", "json", "--output", "/dev/stdout",
+               "verify-axioms", "--weight", "3", "--mode-window", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+    assert head.startswith(b"{")
+
+
 def test_broken_pipe_leaves_the_collector_on(tmp_path):
     class Closed:
         """A standard output whose reader has gone, on a file's fd."""

@@ -1,76 +1,44 @@
-"""Property tests: LocalizedSeries.expand against a generate-then-filter
-reference, and the sum of two series with opposite poles against the sum
-of their expansions.
+"""Property tests: LocalizedSeries.expand, which keeps only exact
+division, against the binomial expansion, and the sum of two series with
+opposite poles against the sum of their expansions.
 
-The reference below is the direct reading of the expansion formula
+The binomial references live in ``series_reference``.
+``reference_expand`` is the direct reading of the expansion formula
 lambda^{-k} = sum_i C(-k,i) (c_d y_d)^{-k-i} mu^i: it forms every product
 of a body cell with a mu^i cell for i up to the certification bound and
-only then discards the cells outside the certified region.  A second
-reference is the Fraction form of the expansion loop, which divides by
-c_d^(k+i) at step i; ``expand`` sums in ints instead, scaling step i by
-c_d^(imax-i), and the pole coefficients drawn (c_d in +-1, +-2, +-3)
-exercise that scaling.  A third is the int loop over exponent tuples
-that ``expand`` ran before it packed each cell into one int; the
-strategy draws window exponents in -6..6 beside trunc exponents in 0..3,
-single-cell bodies (packing base 1) and floors down to -12, so that the
-packing's digit bounds are met at both ends.
+only then discards the cells outside the certified region.
+``tuple_loop_expand`` is the int loop over exponent tuples, which scales
+step i by c_d^(imax-i) instead of dividing by c_d^(k+i); the Fraction
+form of that loop is below.  The pole coefficients drawn (c_d in +-1,
++-2, +-3) exercise that scaling, and the strategy draws window exponents
+in -6..6 beside trunc exponents in 0..3, single-cell bodies and floors
+down to -12.
 
 Where lambda^k divides the body, ``expand`` returns the quotient found by
-synthetic division instead (``exact._divide_out``).  Bodies built as
-lambda^k Q check that path against Q itself and the three references,
+synthetic division (``exact._divide_out``); where a remainder is left it
+raises a plain ValueError.  Random bodies almost never divide: there the
+three references must agree and ``expand`` must raise.  Bodies built as
+lambda^k Q check the quotient against Q itself and the three references,
 with a spy on the division to show that it ran.  The quotient lists its
-cells by descending distinguished exponent, which need not be the loop's
-order, so the loop's order is asserted only where the division failed.
+cells by descending distinguished exponent.
 """
 
 from fractions import Fraction as F
-from math import gcd, lcm
-from unittest import mock
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fockcalc import series
-from fockcalc.exact import UsageError, _add_into, _divide_out
+from fockcalc.exact import UsageError
 from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, LocalizedSeries,
                              MultiSeries, comb_int, trunc_var, window_var)
-from series_reference import localized_add
+from series_reference import (expand_or_raise, expand_with_spy,
+                              localized_add, reference_expand,
+                              tuple_loop_expand)
 
 VARSPECS = (trunc_var("y1"), trunc_var("y2"), trunc_var("y3"),
             window_var("x", -6, 6))
-
-
-def reference_expand(loc, conv, dvar_floor):
-    dvar = conv.distinguished
-    c_d = loc.pole[dvar]
-    body, k = loc.body, loc.order
-    tcap = body.tcap - k
-    di = body.pos(dvar)
-    mu = {n: c for n, c in loc.pole.items() if n != dvar}
-    complete = {n: (None, None) for n in body.window_names()}
-    out = MultiSeries(body.varspecs, {}, complete, tcap, {dvar: dvar_floor})
-    terms = {}
-    mu_power = {(0,) * len(body.varspecs): F(1)}
-    for i in range(max(body.tcap - k - dvar_floor, 0) + 1):
-        c_i = F(comb_int(-k, i), c_d ** (k + i))
-        for mcell, mval in mu_power.items():
-            for bcell, bval in body.terms.items():
-                cell = [x + y for x, y in zip(mcell, bcell)]
-                cell[di] -= k + i
-                cell = tuple(cell)
-                if cell[di] < dvar_floor or out.tdeg(cell) > tcap:
-                    continue
-                terms[cell] = terms.get(cell, 0) + bval * c_i * mval
-        nxt = {}
-        for mcell, mval in mu_power.items():
-            for name, c in mu.items():
-                j = body.pos(name)
-                new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
-                nxt[new] = nxt.get(new, 0) + mval * c
-        mu_power = {c: v for c, v in nxt.items() if v}
-    out.terms = {c: v for c, v in terms.items() if v}
-    return out
 
 
 def fraction_loop_expand(loc, conv, dvar_floor):
@@ -112,60 +80,12 @@ def fraction_loop_expand(loc, conv, dvar_floor):
     return out
 
 
-def tuple_loop_expand(loc, conv, dvar_floor):
-    # the int loop over exponent tuples: each product builds its cell as
-    # a list, then a tuple, before it is summed
-    dvar = conv.distinguished
-    c_d = loc.pole[dvar]
-    body, k = loc.body, loc.order
-    di = body.pos(dvar)
-    mu = {body.pos(n): c for n, c in loc.pole.items() if n != dvar}
-    complete = {n: (None, None) for n in body.window_names()}
-    out = MultiSeries(body.varspecs, {}, complete, body.tcap - k,
-                      {dvar: dvar_floor})
-    cells = [(b, val) for b, val in body.terms.items()
-             if body.tdeg(b) <= body.tcap]
-    if not cells:
-        return out
-    den = lcm(*(val.denominator for _, val in cells))
-    cells = sorted(((b, val.numerator * (den // val.denominator))
-                    for b, val in cells), key=lambda item: -item[0][di])
-    imax = min(max(body.tcap - k - dvar_floor, 0),
-               cells[0][0][di] - dvar_floor - k)
-    if not mu:
-        imax = min(imax, 0)
-    if imax < 0:
-        return out
-    acc = {}
-    mu_power = {(0,) * len(body.varspecs): 1}
-    for i in range(imax + 1):
-        while cells[-1][0][di] < dvar_floor + k + i:
-            cells.pop()
-        w_i = comb_int(-k, i) * c_d ** (imax - i)
-        for mcell, mval in mu_power.items():
-            cm = w_i * mval
-            for bcell, bval in cells:
-                cell = [x + y for x, y in zip(mcell, bcell)]
-                cell[di] -= k + i
-                cell = tuple(cell)
-                acc[cell] = acc.get(cell, 0) + bval * cm
-        nxt = {}
-        for mcell, mval in mu_power.items():
-            for j, c in mu.items():
-                new = mcell[:j] + (mcell[j] + 1,) + mcell[j + 1:]
-                _add_into(nxt, new, mval * c)
-        mu_power = nxt
-    scale = den * c_d ** (k + imax)
-    out.terms = {cell: F(x, scale) for cell, x in acc.items() if x}
-    return out
-
-
 @st.composite
 def scalar_bodies(draw):
     tcap = draw(st.integers(0, 4))
     # some body cells lie above tcap, so the reference has to discard
     # them; the window exponent may be negative, and a one-cell body
-    # packs its cells in base 1 when no position has any range
+    # gives each exponent a range of one value
     cell = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
                      st.integers(-6, 6))
     terms = draw(st.dictionaries(
@@ -184,18 +104,6 @@ def localized_series(draw):
     return loc, conv, draw(st.integers(-12, 1))
 
 
-def expand_with_spy(loc, conv, dvar_floor):
-    """loc.expand(conv, dvar_floor) and what each division returned."""
-    runs = []
-
-    def spy(*args):
-        runs.append(quot := _divide_out(*args))
-        return quot
-
-    with mock.patch.object(series, "_divide_out", spy):
-        return loc.expand(conv, dvar_floor), runs
-
-
 def assert_descending_d_order(got, conv):
     di = got.pos(conv.distinguished)
     exponents = [cell[di] for cell in got.terms]
@@ -208,16 +116,19 @@ def test_expand_matches_generate_then_filter(case):
     loc, conv, dvar_floor = case
     got, runs = expand_with_spy(loc, conv, dvar_floor)
     want = reference_expand(loc, conv, dvar_floor)
-    assert got.terms == want.terms
-    assert got.terms == fraction_loop_expand(loc, conv, dvar_floor).terms
     loop = tuple_loop_expand(loc, conv, dvar_floor)
-    if runs and runs[0] is not None:
-        # the quotient path: the same cells, by descending d exponent
-        assert got.terms == loop.terms
-        assert_descending_d_order(got, conv)
-    else:
-        # same cells in the same order as the tuple loop
-        assert list(got.terms.items()) == list(loop.terms.items())
+    assert loop.terms == want.terms
+    assert fraction_loop_expand(loc, conv, dvar_floor).terms == want.terms
+    assert all(type(c) is F for c in loop.terms.values())
+    assert (loop.tcap, loop.neg_floor, loop.x_ival) == (
+        want.tcap, want.neg_floor, want.x_ival)
+    assert (got is None) == (runs == [None])
+    if got is None:
+        # a remainder: expand raised, and the values are the loop's
+        return
+    # the quotient path: the same cells, by descending d exponent
+    assert got.terms == want.terms
+    assert_descending_d_order(got, conv)
     assert all(type(c) is F for c in got.terms.values())
     assert got.tcap == want.tcap
     assert got.neg_floor == want.neg_floor
@@ -310,22 +221,29 @@ def test_quotient_order_is_not_the_loop_order():
     ids=["remainder", "pivot", "remainder-at-k"])
 def test_body_left_with_a_remainder_takes_the_binomial_loop(pole, order,
                                                             terms):
+    # the binomial loop is the tests' now: expand raises a plain ValueError
     loc = LocalizedSeries(pole, order,
                           MultiSeries(VARSPECS, terms, {"x": (None, None)}, 3))
     got, runs = expand_with_spy(loc, NEG_POWERS_Y1, -6)
-    assert runs == [None]
-    assert got.terms == reference_expand(loc, NEG_POWERS_Y1, -6).terms
-    assert got.terms
+    assert runs == [None] and got is None
+    with pytest.raises(ValueError, match="does not divide") as exc:
+        loc.expand(NEG_POWERS_Y1, -6)
+    assert type(exc.value) is ValueError
+    loop = tuple_loop_expand(loc, NEG_POWERS_Y1, -6)
+    assert loop.terms == reference_expand(loc, NEG_POWERS_Y1, -6).terms
+    assert loop.terms
 
 
 @settings(max_examples=200, deadline=None)
 @given(localized_series(), st.integers(1, 3), scalar_bodies())
 def test_add_of_opposite_poles_commutes_with_expand(case, order, body):
-    # body/(-lambda)^k is (-1)^k body/lambda^k, and expansion is linear
+    # body/(-lambda)^k is (-1)^k body/lambda^k, and expansion is linear;
+    # expand_or_raise also holds expand to each sum where it divides
     a, conv, dvar_floor = case
     b = LocalizedSeries({n: -c for n, c in a.pole.items()}, order, body)
-    got = localized_add(a, b).expand(conv, dvar_floor)
-    want = a.expand(conv, dvar_floor).add(b.expand(conv, dvar_floor))
+    got = expand_or_raise(localized_add(a, b), conv, dvar_floor)
+    want = expand_or_raise(a, conv, dvar_floor).add(
+        expand_or_raise(b, conv, dvar_floor))
     assert got.terms == want.terms
     assert got.tcap == want.tcap
     assert got.neg_floor == want.neg_floor
@@ -370,8 +288,16 @@ def test_expand_rejects_untruncated_body():
     ids=["above-tcap", "imax-negative"])
 def test_expand_with_nothing_certified_is_empty(body, dvar_floor):
     loc = LocalizedSeries({"y1": 1, "y2": -1}, 1, body)
-    got = loc.expand(NEG_POWERS_Y1, dvar_floor)
-    assert got.terms == {}
-    assert got.tcap == body.tcap - 1
-    assert got.neg_floor == {"y1": dvar_floor}
-    assert got.x_ival == {"x": (None, None)}
+    results = [expand_or_raise(loc, NEG_POWERS_Y1, dvar_floor)]
+    if body.tdeg(next(iter(body.terms))) > body.tcap:
+        # nothing left to divide: expand returns the empty series too
+        results.append(loc.expand(NEG_POWERS_Y1, dvar_floor))
+    else:
+        # y2 is no multiple of y1 - y2
+        with pytest.raises(ValueError, match="does not divide"):
+            loc.expand(NEG_POWERS_Y1, dvar_floor)
+    for got in results:
+        assert got.terms == {}
+        assert got.tcap == body.tcap - 1
+        assert got.neg_floor == {"y1": dvar_floor}
+        assert got.x_ival == {"x": (None, None)}

@@ -23,8 +23,8 @@ import pytest
 from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, _exp_cells,
                              _genfun_floor, _plusplus_correction,
                              _plusplus_pieces)
-from series_reference import exp_cells_by_recursion, plusplus_pieces
-from test_expand_property import expand_with_spy, tuple_loop_expand
+from series_reference import (exp_cells_by_recursion, expand_with_spy,
+                              plusplus_pieces, tuple_loop_expand)
 
 SCALES = sorted({(2, 0), (3, 1), (2, 2), (5, 2), (3, 3), (4, 4), (6, 2)}
                 | {(w, d) for w in range(7) for d in range(3)})
@@ -90,3 +90,18 @@ def test_exp_cells_match_recursion(tcap):
         got = _exp_cells(coeffs, tcap)
         assert got == exp_cells_by_recursion(coeffs, tcap)
         assert all(type(x) is F for _, x in got)
+
+
+@pytest.mark.parametrize("ydeg", range(6))
+def test_every_pole_sum_divides(ydeg):
+    # windows 0-6 under both conventions: expand raises on a remainder,
+    # so verify-thm31 needs each of these divisions to come out exact
+    floor = _genfun_floor(ydeg)
+    for window in range(7):
+        for n, locs in _plusplus_pieces.__wrapped__(window, ydeg):
+            for loc in locs:
+                for conv in (NEG_POWERS_Y1, NEG_POWERS_Y2):
+                    got, runs = expand_with_spy(loc, conv, floor)
+                    assert got is not None, (window, n)
+                    assert runs == ([runs[0]] if loc.body.terms else [])
+                    assert all(run is not None for run in runs), (window, n)

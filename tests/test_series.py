@@ -15,8 +15,7 @@ from fockcalc.quadratic import Lbar_apply, Lr_apply, L_apply, _lpq_mon
 from fockcalc.report import VerificationReport
 from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2, MultiSeries,
                              UncertifiedError, comb_int, contraction_check,
-                             convention, normal_ordered_pair,
-                             one_minus_exp_inverse, plusplus_pair,
+                             convention, normal_ordered_pair, plusplus_pair,
                              regularized_commutator_check,
                              regularized_commutator_checks, trunc_var,
                              window_var)
@@ -27,9 +26,11 @@ from fockcalc.series import (_RHS_TERMS, _cell_key, _exp_cells,
                              slot_pair_apply)
 from fock_reference import monomial, ordered_pair_apply
 from series_reference import (apply_dilation, apply_taylor, constant_series,
-                              delta_series, derivative_pole, exp_linear_form,
+                              delta_series, derivative_pole, expand_or_raise,
+                              exp_linear_form, localized_dy,
                               localized_mul_series, localized_scale,
-                              monomial_series)
+                              monomial_series, one_minus_exp_inverse,
+                              series_diff, series_scale, series_sub)
 
 
 def mono(*parts):
@@ -52,7 +53,7 @@ def test_delta_series_coefficients():
 def test_delta_times_one_minus_x():
     vs = (window_var("x", -5, 5),)
     d = delta_series(vs, {"x": 1}, (-5, 5))
-    poly = constant_series(vs).sub(monomial_series(vs, {"x": 1}))
+    poly = series_sub(constant_series(vs), monomial_series(vs, {"x": 1}))
     prod = d.mul(poly)
     # telescoping: zero on the interior, lowest window exponent uncertified
     assert prod.x_ival["x"] == (-4, 5)
@@ -297,7 +298,7 @@ def test_exp_linear_form():
 def test_diff_shifts_certification():
     vs = (trunc_var("y", 3),)
     ser = exp_linear_form(vs, {"y": 1}, 3)
-    d = ser.diff("y")
+    d = series_diff(ser, "y")
     assert d.tcap == 2
     assert d.coeff((0,)) == 1
     assert d.coeff((2,)) == F(1, 2)
@@ -318,7 +319,8 @@ def test_one_minus_exp_inverse_body():
 
 def test_one_minus_exp_inverse_expansion():
     loc = one_minus_exp_inverse("y1", "y2", 8)
-    exp = loc.expand(NEG_POWERS_Y1, -6)
+    # G(0) = 1: no power of y1 - y2 divides the body, so expand raises
+    exp = expand_or_raise(loc, NEG_POWERS_Y1, -6)
     # 1/(1-e^{-u}) = u^{-1} + 1/2 + u/12 - u^3/720 + ...
     assert exp.coeff((0, 0)) == F(1, 2)
     assert exp.coeff((1, 0)) == F(1, 12)
@@ -340,7 +342,7 @@ def test_expansion_requires_distinguished_variable():
 
 def test_expanded_series_refuse_products():
     loc = one_minus_exp_inverse("y1", "y2", 4)
-    exp = loc.expand(NEG_POWERS_Y1, -4)
+    exp = expand_or_raise(loc, NEG_POWERS_Y1, -4)
     with pytest.raises(UncertifiedError):
         exp.mul(exp)
 
@@ -348,10 +350,10 @@ def test_expanded_series_refuse_products():
 def test_localized_derivative_fold():
     # d/dy1 of (y1-y2)^{-1} F = (y1-y2)^{-2} (lambda dF/dy1 - F)
     loc = one_minus_exp_inverse("y1", "y2", 6)
-    dloc = loc.dy("y1")
+    dloc = localized_dy(loc, "y1")
     assert dloc.order == 2
     # expanded derivative: d/du [u^{-1} + 1/2 + u/12 - u^3/720]
-    exp = dloc.expand(NEG_POWERS_Y1, -6)
+    exp = expand_or_raise(dloc, NEG_POWERS_Y1, -6)
     assert exp.coeff((-2, 0)) == -1
     assert exp.coeff((0, 0)) == F(1, 12)
     assert exp.coeff((1, 0)) == 0
@@ -533,9 +535,9 @@ def _four_piece_correction(conv, window, ydeg):
         base = derivative_pole(a_form, {b_var: 1}, varspecs, body_order)
         for n in range(-window, window + 1):
             efactor = exp_linear_form(varspecs, {f: n, g: -n}, body_order)
-            piece = (localized_scale(
-                localized_mul_series(base, efactor).dy(outer), F(1, 4))
-                .expand(conv, _genfun_floor(ydeg)))
+            piece = expand_or_raise(localized_scale(localized_dy(
+                localized_mul_series(base, efactor), outer), F(1, 4)),
+                conv, _genfun_floor(ydeg))
             out[n] = piece if n not in out else out[n].add(piece)
     return out
 
@@ -665,7 +667,7 @@ def _genfun_sides(v, w, d):
     pq = slot_pair_apply_series({"y1": 1}, {"y2": 1}, "x1", (-w, w), q)
     r = slot_pair_apply(varspecs, {"y1": 1}, {"y2": 1}, "x1", (-w, w), v, d)
     qr = slot_pair_apply_series({"y3": 1}, {"y4": 1}, "x2", (-w, w), r)
-    lhs = pq.sub(qr).scale(F(1, 4))
+    lhs = series_scale(series_sub(pq, qr), F(1, 4))
 
     # right side, colon parts: -(1/4) d_outer [slot series * delta]
     rhs = MultiSeries(varspecs, {}, {"x1": (-w, w), "x2": (-w, w)}, d)
@@ -673,8 +675,8 @@ def _genfun_sides(v, w, d):
         n_series = slot_pair_apply(varspecs, a_form, {b_var: 1}, "x2",
                                    (-2 * w, 2 * w), v, d + 1)
         nd = _mul_delta_pinned(n_series, f, g, "x1", "x2", (-w, w), d + 1)
-        rhs = rhs.add(nd.diff(outer))
-    return lhs, rhs.scale(F(-1, 4))
+        rhs = rhs.add(series_diff(nd, outer))
+    return lhs, series_scale(rhs, F(-1, 4))
 
 
 def _reference_report(v, lhs, rhs, conv, w, d, correction):
