@@ -7,10 +7,9 @@ rational strings.  Identical configuration produces byte-identical JSON.
 Exit codes: 0 when every checked cell passes, 1 on any identity
 violation or uncertified cell, 2 on usage errors (``UsageError``: a
 precondition the code names itself), 141 (128 + SIGPIPE) when the reader
-of the report, on standard output or on an ``--output`` pipe, closes it
-before the report is written.  Any other
-exception, such as a ``KeyError`` or a plain ``ValueError``, is a bug and
-propagates.
+of standard output or of an ``--output`` pipe closes it before the
+report is written.  Any other exception, such as a ``KeyError`` or a
+plain ``ValueError``, is a bug and propagates.
 """
 
 from __future__ import annotations

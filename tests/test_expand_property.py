@@ -221,7 +221,7 @@ def test_quotient_order_is_not_the_loop_order():
     ids=["remainder", "pivot", "remainder-at-k"])
 def test_body_left_with_a_remainder_takes_the_binomial_loop(pole, order,
                                                             terms):
-    # the binomial loop is the tests' now: expand raises a plain ValueError
+    # expand raises a plain ValueError; the test-side loop has the values
     loc = LocalizedSeries(pole, order,
                           MultiSeries(VARSPECS, terms, {"x": (None, None)}, 3))
     got, runs = expand_with_spy(loc, NEG_POWERS_Y1, -6)

@@ -11,7 +11,6 @@ certified region, for every monomial of weight <= 5, at orders 1-8,
 under both conventions.
 """
 
-import functools
 from fractions import Fraction as F
 
 import pytest
@@ -19,35 +18,21 @@ import pytest
 from fockcalc.exact import UsageError
 from fockcalc.fock import FockVector, basis
 from fockcalc.series import (NEG_POWERS_Y1, NEG_POWERS_Y2,
-                             ExpansionConvention, normal_ordered_pair,
-                             plusplus_pair)
-from series_reference import (localized_dy, one_minus_exp_inverse,
-                              series_scale_vector, series_sub,
-                              tuple_loop_expand)
+                             ExpansionConvention, plusplus_pair)
+from series_reference import plusplus_pair_by_expansion
 
 WINDOW = (-2, 2)
-
-
-@functools.lru_cache(maxsize=None)
-def scalar_by_expansion(order, conv, window=WINDOW):
-    # the correction does not depend on v, so it is expanded once
-    varspecs = normal_ordered_pair("y1", "y2", "x", FockVector(), window,
-                                   order).varspecs
-    pole = localized_dy(one_minus_exp_inverse("y1", "y2", order + 2,
-                                              varspecs), "y1")
-    return tuple_loop_expand(pole, conv, -(2 + order))
 
 
 @pytest.mark.parametrize("conv", [NEG_POWERS_Y1, NEG_POWERS_Y2],
                          ids=["y1", "y2"])
 @pytest.mark.parametrize("order", range(1, 9))
 def test_closed_form_matches_the_pole_calculus(order, conv):
-    correction = scalar_by_expansion(order, conv)
     for mon in basis(5):
         v = FockVector({mon: F(1)})
         got = plusplus_pair("y1", "y2", "x", v, WINDOW, order, conv)
-        colon = normal_ordered_pair("y1", "y2", "x", v, WINDOW, order)
-        want = series_sub(colon, series_scale_vector(correction, v))
+        want = plusplus_pair_by_expansion("y1", "y2", "x", v, WINDOW, order,
+                                          conv)
         assert got.terms == want.terms, mon
         assert got.varspecs == want.varspecs
         assert got.x_ival == want.x_ival
@@ -60,9 +45,8 @@ def test_closed_form_matches_the_pole_calculus(order, conv):
 def test_correction_only_where_the_window_holds_x0(window):
     v = FockVector({(2,): F(1)})
     got = plusplus_pair("y1", "y2", "x", v, window, 3, NEG_POWERS_Y2)
-    colon = normal_ordered_pair("y1", "y2", "x", v, window, 3)
-    correction = scalar_by_expansion(3, NEG_POWERS_Y2, window)
-    want = series_sub(colon, series_scale_vector(correction, v))
+    want = plusplus_pair_by_expansion("y1", "y2", "x", v, window, 3,
+                                      NEG_POWERS_Y2)
     assert got.terms == want.terms
     assert got.x_ival == want.x_ival == {"x": window}
 
