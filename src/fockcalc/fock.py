@@ -112,8 +112,9 @@ def _iaxpy(acc: dict, terms, c: int) -> None:
     """acc += c * terms, in place, for int term maps; zero sums are kept.
 
     The one accumulation protocol of the package: each vector goes onto
-    an int scale with ``_on_scale``, the sum is taken here, and the total
-    is divided once with ``_off_scale``.
+    an int scale with ``_on_scale``, a sum starts from a copy of its first
+    table (shared tables are read-only) and adds the rest here, and the
+    total is divided once with ``_off_scale``.
     """
     for mon, x in terms.items():
         acc[mon] = acc.get(mon, 0) + c * x

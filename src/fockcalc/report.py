@@ -90,10 +90,10 @@ class VerificationReport:
         """Compare, render and count the int cells of one check, which may
         feed several reports, on the scale den.  cells yields (report, k,
         lhs, rhs), the sides den times int term maps, zero entries
-        allowed, or rhs None if uncertified.  A cell zero on both sides is
-        a bulk pass unless listed; any other is keyed key(*k) and passes
-        if its sides are equal.  One memo of coefficient strings serves
-        the call and goes with it."""
+        allowed, or rhs None if uncertified; the sides are read, never
+        written.  A cell zero on both sides is a bulk pass unless listed;
+        any other is keyed key(*k) and passes if its sides are equal.  One
+        memo of coefficient strings serves the call and goes with it."""
         memo = {}
         for rep, k, lhs, rhs in cells:
             if rhs is None:

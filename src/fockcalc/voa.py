@@ -498,7 +498,7 @@ def _slice_half_sums(tab: _ProductTables, a0):
     product term of the identity, delta arguments expanded in nonnegative
     powers of the inner variable, with (s, t) = (u, v), or (v, u) if
     swap.  An int term map on the tables' scale, zero sums kept, summed
-    once per x0 slice.
+    once per x0 slice and shared by the cells, so never written.
 
     The signed binomials of a half sum depend on (swap, b2) only, and so
     does the test that t.w is nonzero at x^(b2 - k): both are listed once
@@ -518,8 +518,11 @@ def _slice_half_sums(tab: _ProductTables, a0):
         outer = tab.v_uw if swap else tab.u_vw
         acc = {}
         for d, e, c in terms(swap, b2):
-            if table := outer(b1 + d, e).terms:
+            if (table := outer(b1 + d, e).terms) and acc:
                 _iaxpy(acc, table, c)
+            elif table:
+                acc = dict(table) if c == 1 else {
+                    m: c * x for m, x in table.items()}
         return acc
     return half
 
@@ -563,13 +566,19 @@ def _check_orders(tab: _ProductTables, windows: dict, top: int, den: int,
                     terms = rhs_terms(a0, a1)
                     for a2 in row:
                         lhs = half(first, a1, a2)
-                        if other := half(second, a2, a1):
+                        if (other := half(second, a2, a1)) and lhs:
                             lhs = dict(lhs)
                             _iaxpy(lhs, other, sign)
+                        elif other:
+                            lhs = other if sign == 1 else {
+                                m: -x for m, x in other.items()}
                         rhs = {}
                         for i, c in terms:
-                            if it := table(i, a0 + a1 + a2).terms:
+                            if (it := table(i, a0 + a1 + a2).terms) and rhs:
                                 _iaxpy(rhs, it, c)
+                            elif it:
+                                rhs = dict(it) if c == 1 else {
+                                    m: c * x for m, x in it.items()}
                         if lhs or rhs:
                             yield rep, (a0, a1, a2), lhs, rhs
                         else:

@@ -510,6 +510,39 @@ def test_check_orders_renders_both_sides_of_an_unequal_cell(monkeypatch):
     assert not rep.passed
 
 
+def test_check_orders_seeds_each_sum_from_its_first_table(monkeypatch):
+    # at odd a0 a left side whose first half sum is empty is the second
+    # half negated; a right side starts from a copy of its first nonempty
+    # table, scaled by its coefficient, and adds the later ones
+    from types import SimpleNamespace
+
+    from fockcalc.report import FAIL, PASS, VerificationReport
+
+    halves = {(True, 0, 0): {(1,): 3}, (False, 0, 1): {(2,): -2},
+              (False, 0, 2): {(1,): 1}, (True, 2, 0): {(1,): 2}}
+    # table(i, e) at e = a0 + a1 + a2 = 1 + a2, summed as 1 * table(0, e)
+    # - 2 * table(1, e): one c = 1 table, then a first table with c = -2,
+    # then both
+    tables = {(0, 1): {(2,): 4}, (1, 2): {(2,): 1},
+              (0, 3): {(1,): 1}, (1, 3): {(1,): 1}}
+    monkeypatch.setattr(voa, "_slice_half_sums", lambda tab, a0: (
+        lambda swap, b1, b2: halves.get((swap, b1, b2), {})))
+    before = repr((halves, tables))
+    rep = VerificationReport(identity="box", parameters={})
+    box = {"x0": (1, 1), "x1": (0, 0), "x2": (0, 2)}
+    sides = [(rep, lambda a0, a1: [(0, 1), (1, -2)],
+              lambda i, e: FockVector(tables.get((i, e), {})))]
+    voa._check_orders(SimpleNamespace(same=False), box, 9, 2, sides)
+    assert [(c.key, c.lhs, c.rhs, c.status) for c in rep.cells] == [
+        ("x0^1 x1^0 x2^0", "-3/2*[1]", "2*[2]", FAIL),
+        ("x0^1 x1^0 x2^1", "-1*[2]", "-1*[2]", PASS),
+        ("x0^1 x1^0 x2^2", "-1/2*[1]", "-1/2*[1]", PASS),
+    ]
+    assert rep.bulk_passed == 0
+    # no half sum or table was written
+    assert repr((halves, tables)) == before
+
+
 def test_failing_axiom_cell_renders_both_sides(monkeypatch):
     # a passing axiom cell renders its vector once; a failing one must
     # still show both sides
