@@ -112,9 +112,11 @@ def _iaxpy(acc: dict, terms, c: int) -> None:
     """acc += c * terms, in place, for int term maps; zero sums are kept.
 
     The one accumulation protocol of the package: each vector goes onto
-    an int scale with ``_on_scale``, a sum starts from a copy of its first
-    table (shared tables are read-only) and adds the rest here, and the
-    total is divided once with ``_off_scale``.
+    an int scale with ``_on_scale``, the sum is taken here, and the total
+    is divided once with ``_off_scale``.  A delta-kernel cell sum
+    (``voa._slice_half_sums``, ``voa._check_orders``) starts from a copy
+    of its first table and adds the rest here: the shared tables it reads
+    are never written.
     """
     for mon, x in terms.items():
         acc[mon] = acc.get(mon, 0) + c * x
